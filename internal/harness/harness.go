@@ -148,7 +148,7 @@ type Options struct {
 	// into a complete Series. Validate combinations with ValidateShards.
 	Shards, ShardIndex int //mosvet:allow cachekeylint sharding selects which points this process computes; the merged grid is byte-identical to the single-process run
 	// NoContSched disables continuation scheduling in every engine this
-	// run builds: SpawnCont bodies execute on parked goroutines through
+	// run builds: SpawnCont bodies execute on coroutine procs through
 	// the directive interpreter instead of inline on the dispatcher.
 	// Results are bit-for-bit identical either way (pinned by
 	// TestContSchedDeterminism); the knob exists for that comparison.

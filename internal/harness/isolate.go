@@ -93,10 +93,14 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 
 // safeCachedPoint is cachedPoint with crash isolation: the point body runs
 // under runGuarded, a panicking point is retried exactly once on a fresh
-// non-pooled engine (a recovered panic can leave a pooled engine's proc
-// state arbitrary), and a second panic or a watchdog timeout yields an
-// error instead of a Point. One crashing point therefore costs exactly
-// that point; the rest of the sweep completes.
+// non-pooled engine, and a second panic or a watchdog timeout yields an
+// error instead of a Point. A panic raised inside a simulated proc's body
+// surfaces from the engine's Run on the guarded goroutine like any other.
+// The pooled engine it left behind stays usable: its next Reset unwinds
+// the parked procs and drops the panicked slot. The fresh-engine retry
+// rules out the arena as the cause rather than repairing it. One crashing
+// point therefore costs exactly that point; the rest of the sweep
+// completes.
 func (o Options) safeCachedPoint(exp, variant string, cores int, f func(o Options) Point) (Point, error) {
 	if !o.shardOwns(o.cacheSectionID(exp), o.cacheKey(variant, cores)) {
 		return Point{}, errShardSkipped

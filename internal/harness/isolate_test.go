@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // isoRuns is a trivial one-variant grid whose points are pure functions of
@@ -14,6 +18,65 @@ func isoRuns() []variantRun {
 	return []variantRun{{"V", func(c int, o Options) Point {
 		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
 	}}}
+}
+
+// procPanicRuns is a one-variant grid whose points simulate on the
+// worker's arena engine: one proc per core, each advancing by a
+// PRNG-drawn amount. When panics(cores, o) holds, the core-0 proc's body
+// panics mid-run while the other procs are parked in the engine
+// (o.FreshEngines marks the retry attempt).
+func procPanicRuns(panics func(cores int, o Options) bool) []variantRun {
+	return []variantRun{{"V", func(c int, o Options) Point {
+		e := o.newEngine(topo.New(c))
+		var end int64
+		for i := 0; i < c; i++ {
+			e.Spawn(i, "worker", int64(i), func(p *sim.Proc) {
+				p.Advance(100)
+				if i == 0 && panics(c, o) {
+					panic("injected proc-body panic")
+				}
+				p.Advance(int64(10 + e.Rand.Intn(50)))
+				end = max(end, p.Now())
+			})
+		}
+		e.Run()
+		return Point{Cores: c, Variant: "V", PerCore: float64(end)}
+	}}}
+}
+
+// TestProcBodyPanicBecomesFailedPoint is crash isolation for a panic
+// raised inside a simulated proc's body rather than in the point function
+// itself: the panic must reach the point's guard instead of killing the
+// process, a transient one is retried, a persistent one costs exactly its
+// point, and the serial sweep's pooled engine (reset after holding the
+// panicked proc) must keep producing the points a clean sweep produces.
+func TestProcBodyPanicBecomesFailedPoint(t *testing.T) {
+	o := Options{Cores: []int{1, 8, 16, 48}, Seed: 1, Serial: true}
+	clean := &Series{ID: "iso-test"}
+	o.runGrid(clean, procPanicRuns(func(int, Options) bool { return false }))
+	if len(clean.Points) != 4 || len(clean.Failed) != 0 {
+		t.Fatalf("clean sweep: %d points, %d failures; want 4 and 0", len(clean.Points), len(clean.Failed))
+	}
+
+	s := &Series{ID: "iso-test"}
+	o.runGrid(s, procPanicRuns(func(c int, o Options) bool {
+		return c == 16 || (c == 8 && !o.FreshEngines)
+	}))
+	if len(s.Failed) != 1 {
+		t.Fatalf("failed points = %+v, want exactly one", s.Failed)
+	}
+	if f := s.Failed[0]; f.Cores != 16 || !strings.Contains(f.Err, "injected proc-body panic") || !strings.Contains(f.Err, "retry") {
+		t.Errorf("failure %+v should be V@16 carrying the panic value and noting the retry", f)
+	}
+	want := []Point{clean.Points[0], clean.Points[1], clean.Points[3]}
+	if len(s.Points) != len(want) {
+		t.Fatalf("surviving points = %+v, want cores 1, 8 (retried) and 48", s.Points)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(s.Points[i], want[i]) {
+			t.Errorf("point %d = %+v, want the clean sweep's %+v", i, s.Points[i], want[i])
+		}
+	}
 }
 
 func TestPointPanicIsRetriedOnFreshEngine(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // TestEngineReuseDeterminism is the arena's acceptance guarantee: for
 // every registered experiment, a sweep on reused (arena) engines is
 // bit-for-bit identical — Series deep-equal — to the same sweep on fresh
-// engines. Run under -race in CI, this also proves the parked-goroutine
+// engines. Run under -race in CI, this also proves the pooled-coroutine
 // handoff is race-clean.
 func TestEngineReuseDeterminism(t *testing.T) {
 	for _, e := range Experiments() {

@@ -57,10 +57,8 @@ func run(pass *analysis.Pass) error {
 			case *ast.CallExpr:
 				checkCall(pass, n)
 			case *ast.GoStmt:
-				if path != "repro/internal/sim" {
-					pass.Reportf(n.Pos(),
-						"goroutine spawned outside the sim engine: simulated concurrency must go through Engine.Spawn/SpawnCont so the scheduler owns all interleaving")
-				}
+				pass.Reportf(n.Pos(),
+					"goroutine spawned outside the sim engine: simulated concurrency must go through Engine.Spawn/SpawnCont so the scheduler owns all interleaving")
 			}
 			return true
 		})

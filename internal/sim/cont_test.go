@@ -100,7 +100,7 @@ func diffTraces(t *testing.T, label string, want, got []int64) {
 
 // TestContTraceMatchesGoroutineMode is the core tentpole pin: the same
 // continuation bodies, run inline on the dispatcher (default) versus
-// replayed through blocking calls on parked goroutines (SetContSched
+// replayed through blocking calls on coroutine procs (SetContSched
 // false), must produce bit-for-bit identical traces and accounting.
 func TestContTraceMatchesGoroutineMode(t *testing.T) {
 	inline := contTraceRun(NewEngine(topo.New(4), 42))

@@ -61,7 +61,7 @@ func TestResetAfterResourceQueueDeadlock(t *testing.T) {
 	}
 
 	// A second deadlock and reset must work just as well: the free list
-	// reclaims the re-parked goroutines every time.
+	// reclaims the re-parked coroutines every time.
 	deadlockOnResource(t, e)
 	e.ResetFor(topo.New(4), 42)
 	again := traceRun(e)

@@ -73,8 +73,9 @@ func TestResetProducesIdenticalRuns(t *testing.T) {
 }
 
 // TestSpawnReusesParkedGoroutines verifies the free list works: a second
-// run on a reused engine resumes parked goroutines instead of starting new
-// ones.
+// run on a reused engine resumes parked proc coroutines instead of
+// creating new ones (each coroutine is a goroutine, so the goroutine
+// count must not grow).
 func TestSpawnReusesParkedGoroutines(t *testing.T) {
 	e := NewPooledEngine(topo.New(4), 1)
 	for c := 0; c < 4; c++ {
@@ -174,8 +175,8 @@ func waitGoroutinesAtMost(t *testing.T, n int) {
 
 // TestResetAfterDeadlockReclaimsProcs is the failure-path leak check:
 // Reset after a recovered deadlock panic must unwind the blocked
-// goroutines back into the free list (no leaks, slots reusable), and the
-// engine must then run cleanly; Close must release every parked goroutine.
+// coroutines back into the free list (no leaks, slots reusable), and the
+// engine must then run cleanly; Close must release every parked coroutine.
 func TestResetAfterDeadlockReclaimsProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -215,7 +216,7 @@ func TestResetAfterDeadlockReclaimsProcs(t *testing.T) {
 }
 
 // TestResetNeverRunEngine covers Reset on an engine with spawned but never
-// dispatched procs: their loop-top goroutines must be reclaimed too.
+// dispatched procs: their never-started coroutines must be reclaimed too.
 func TestResetNeverRunEngine(t *testing.T) {
 	e := NewPooledEngine(topo.New(2), 1)
 	e.Spawn(0, "never-ran", 0, func(p *Proc) { p.Advance(1) })
@@ -233,7 +234,7 @@ func TestResetNeverRunEngine(t *testing.T) {
 }
 
 // TestPlainEngineProcsExitOnDone pins the non-pooled lifecycle: a plain
-// NewEngine's proc goroutines exit when their bodies finish, so dropping
+// NewEngine's proc coroutines end when their bodies finish, so dropping
 // the engine without Close leaks nothing — the pre-arena behavior every
 // kernel.New caller outside the sweep arena still relies on.
 func TestPlainEngineProcsExitOnDone(t *testing.T) {
@@ -252,7 +253,7 @@ func TestPlainEngineProcsExitOnDone(t *testing.T) {
 }
 
 // TestPlainEngineResetAfterDeadlock: on a plain engine, Reset after a
-// recovered deadlock releases the blocked goroutines entirely (nothing is
+// recovered deadlock releases the blocked coroutines entirely (nothing is
 // pooled), and the engine still runs cleanly afterwards.
 func TestPlainEngineResetAfterDeadlock(t *testing.T) {
 	before := runtime.NumGoroutine()
