@@ -111,20 +111,13 @@ func (a *engineArena) put(s *engineSlot) {
 
 // newEngine returns the engine for one sweep point: the calling worker's
 // pooled engine (reset to the machine and the run's seed) when the arena
-// is active, or a fresh engine when it is not (Options.FreshEngines, or a
+// is active, or a fresh engine when it is not (o.freshEngines, or a
 // caller outside parallelMap).
 func (o Options) newEngine(m *topo.Machine) *sim.Engine {
-	var e *sim.Engine
-	if o.FreshEngines || o.slot == nil {
-		e = sim.NewEngine(m, o.seed())
-	} else {
-		e = o.slot.engine(o.slotGen, m, o.seed())
+	if o.freshEngines || o.slot == nil {
+		return sim.NewEngine(m, o.seed())
 	}
-	// Applied on every acquisition: arena slots are shared across runs
-	// with different Options, so the previous point may have left the
-	// other scheduling mode set.
-	e.SetContSched(!o.NoContSched)
-	return e
+	return o.slot.engine(o.slotGen, m, o.seed())
 }
 
 // newKernel boots a kernel for one sweep point on o.newEngine's engine,

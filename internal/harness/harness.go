@@ -124,12 +124,6 @@ type Options struct {
 	// cores, seed, quick, placement): hits skip simulation entirely, and
 	// misses are stored so a repeated grid run is served from the cache.
 	Cache *Cache //mosvet:allow cachekeylint the cache handle itself; whether points are memoized cannot change what they compute
-	// FreshEngines disables the engine arena: every sweep point builds a
-	// brand-new sim.Engine instead of resetting a pooled one. Results are
-	// bit-for-bit identical either way (pinned by
-	// TestEngineReuseDeterminism); the knob exists for that comparison and
-	// as an escape hatch.
-	FreshEngines bool //mosvet:allow cachekeylint fresh and reused engines are bit-for-bit identical, pinned by TestEngineReuseDeterminism
 	// Fault, when non-nil and non-empty, is the deterministic fault plan
 	// injected into every kernel the experiment boots: degraded or dead HT
 	// links, throttled memory controllers, offlined cores, NIC packet
@@ -147,12 +141,6 @@ type Options struct {
 	// a follow-up run with Shards unset then merges every shard's points
 	// into a complete Series. Validate combinations with ValidateShards.
 	Shards, ShardIndex int //mosvet:allow cachekeylint sharding selects which points this process computes; the merged grid is byte-identical to the single-process run
-	// NoContSched disables continuation scheduling in every engine this
-	// run builds: SpawnCont bodies execute on coroutine procs through
-	// the directive interpreter instead of inline on the dispatcher.
-	// Results are bit-for-bit identical either way (pinned by
-	// TestContSchedDeterminism); the knob exists for that comparison.
-	NoContSched bool //mosvet:allow cachekeylint both scheduling modes are bit-for-bit identical, pinned by TestContSchedDeterminism
 	// Arrival, Link, and Shed configure the open-loop experiments
 	// (latload): the arrival process, the client-side link shaper, and
 	// the server's admission policy. Nil means each experiment's default
@@ -168,6 +156,11 @@ type Options struct {
 	// point; the flag tells a later-unwedged point body that its result
 	// must not reach the shared cache. Nil outside runGuarded.
 	abandoned *atomic.Bool //mosvet:allow cachekeylint runtime bookkeeping set per attempt; never an input to the simulation
+	// freshEngines bypasses the engine arena: every sweep point builds a
+	// brand-new sim.Engine instead of resetting a pooled one. Outside
+	// tests only safeCachedPoint's retry sets it, to rule the arena out as
+	// a crash's cause; results are bit-for-bit identical either way.
+	freshEngines bool //mosvet:allow cachekeylint fresh and reused engines are bit-for-bit identical, pinned by TestEngineReuseDeterminism
 	// slot is the calling sweep worker's pooled engine, set by
 	// parallelMap; nil outside a sweep (fresh engines are used then).
 	slot *engineSlot //mosvet:allow cachekeylint engine pooling handle; reuse is bit-for-bit identical to fresh engines
@@ -288,7 +281,7 @@ func (o Options) seed() uint64 {
 // GOMAXPROCS workers; every index must be an independent simulation
 // writing only to its own slot of a caller-owned slice, which makes the
 // result independent of execution order. The Options each call receives
-// carry the worker's pooled engine slot (unless o.FreshEngines), so a
+// carry the worker's pooled engine slot (unless o.freshEngines), so a
 // whole grid reuses at most GOMAXPROCS engines.
 func (o Options) parallelMap(n int, fn func(i int, o Options)) {
 	workers := runtime.GOMAXPROCS(0)
@@ -296,7 +289,7 @@ func (o Options) parallelMap(n int, fn func(i int, o Options)) {
 		workers = n
 	}
 	attach := func(o Options) (Options, func()) {
-		if o.FreshEngines {
+		if o.freshEngines {
 			return o, func() {}
 		}
 		slot := arena.get()
@@ -407,13 +400,13 @@ var registry []Experiment
 // register adds an experiment, wrapping its Run so the whole invocation
 // holds one arena engine slot: serial experiment bodies (and the serial
 // parallelMap path) reuse that engine point to point, while the parallel
-// sweep workers attach their own slots. FreshEngines bypasses the arena
+// sweep workers attach their own slots. freshEngines bypasses the arena
 // everywhere.
 func register(e Experiment) {
 	checkDomains(e.ID, e.Domains)
 	inner := e.Run
 	e.Run = func(o Options) *Series {
-		if !o.FreshEngines && o.slot == nil {
+		if !o.freshEngines && o.slot == nil {
 			slot := arena.get()
 			defer arena.put(slot)
 			o.slot = slot

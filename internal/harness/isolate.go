@@ -117,7 +117,7 @@ func (o Options) safeCachedPoint(exp, variant string, cores int, f func(o Option
 		return Point{}, err
 	}
 	ro := o
-	ro.FreshEngines = true
+	ro.freshEngines = true
 	ro.slot = nil
 	p, err2 := ro.runGuarded(exp, variant, cores, 1, body)
 	if err2 == nil {

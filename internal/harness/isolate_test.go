@@ -24,7 +24,7 @@ func isoRuns() []variantRun {
 // worker's arena engine: one proc per core, each advancing by a
 // PRNG-drawn amount. When panics(cores, o) holds, the core-0 proc's body
 // panics mid-run while the other procs are parked in the engine
-// (o.FreshEngines marks the retry attempt).
+// (o.freshEngines marks the retry attempt).
 func procPanicRuns(panics func(cores int, o Options) bool) []variantRun {
 	return []variantRun{{"V", func(c int, o Options) Point {
 		e := o.newEngine(topo.New(c))
@@ -60,7 +60,7 @@ func TestProcBodyPanicBecomesFailedPoint(t *testing.T) {
 
 	s := &Series{ID: "iso-test"}
 	o.runGrid(s, procPanicRuns(func(c int, o Options) bool {
-		return c == 16 || (c == 8 && !o.FreshEngines)
+		return c == 16 || (c == 8 && !o.freshEngines)
 	}))
 	if len(s.Failed) != 1 {
 		t.Fatalf("failed points = %+v, want exactly one", s.Failed)

@@ -58,7 +58,7 @@ func run(pass *analysis.Pass) error {
 				checkCall(pass, n)
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"goroutine spawned outside the sim engine: simulated concurrency must go through Engine.Spawn/SpawnCont so the scheduler owns all interleaving")
+					"goroutine spawned outside the sim engine: simulated concurrency must go through Engine.Spawn so the scheduler owns all interleaving")
 			}
 			return true
 		})

@@ -37,28 +37,10 @@ func BenchmarkYieldHandoff(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkSpawnRunReused measures a whole SpawnCont+Run cycle of 48
-// trivial continuation procs on one engine reused via Reset — the sweep
-// arena's steady state for non-blocking bodies, where spawn→run→finish
-// costs no coroutine switch at all.
-func BenchmarkSpawnRunReused(b *testing.B) {
-	e := NewPooledEngine(topo.New(48), 1)
-	defer e.Close()
-	body := func(p *Proc) Cont { return p.AdvanceThen(10, nil) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset(1)
-		for c := 0; c < 48; c++ {
-			e.SpawnCont(c, "p", 0, body)
-		}
-		e.Run()
-	}
-}
-
-// BenchmarkSpawnRunReusedParked is the same cycle on the coroutine path
-// (parked-coroutine reuse, one resume/yield pair per proc) — what
-// blocking bodies still pay, and the baseline the continuation path
-// beats.
+// BenchmarkSpawnRunReusedParked measures a whole Spawn+Run cycle of 48
+// trivial procs on one pooled engine reused via Reset — the sweep arena's
+// steady state: each Spawn takes a parked coroutine from the free list,
+// and each proc costs one resume/yield pair.
 func BenchmarkSpawnRunReusedParked(b *testing.B) {
 	e := NewPooledEngine(topo.New(48), 1)
 	defer e.Close()
@@ -72,9 +54,9 @@ func BenchmarkSpawnRunReusedParked(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnRunFresh is the baseline BenchmarkSpawnRunReused beats: a
-// fresh plain engine (48 fresh coroutines, ending on completion) per
-// cycle.
+// BenchmarkSpawnRunFresh is the baseline BenchmarkSpawnRunReusedParked
+// beats: a fresh plain engine (48 fresh coroutines, ending on completion)
+// per cycle.
 func BenchmarkSpawnRunFresh(b *testing.B) {
 	m := topo.New(48)
 	for i := 0; i < b.N; i++ {

@@ -10,35 +10,52 @@ import (
 )
 
 // traceRun executes a deterministic contended scenario on e and returns
-// the event trace. The scenario mixes Advance, Idle, Block/Wake, PRNG
-// draws, and mid-run Spawn so it exercises every scheduling path.
+// the event trace followed by the run's cycle accounting. The scenario
+// mixes Advance, AdvanceUser, Idle, IdleUntil (both past and future
+// targets), a Resource contended through Use, Block/Wake, PRNG draws, and
+// mid-run Spawn of a child that wakes a blocked proc, so it exercises
+// every scheduling path.
 func traceRun(e *Engine) []int64 {
 	var order []int64
-	var waiter *Proc
+	n := e.Machine.NCores
+	nic := NewResource("nic")
+	rand := func(k int) int64 { return int64(e.Rand.Intn(k)) }
+	var waiter, childWaiter *Proc
 	waiter = e.Spawn(0, "waiter", 0, func(p *Proc) {
 		order = append(order, -p.Block())
 	})
-	for c := 0; c < e.Machine.NCores; c++ {
+	childWaiter = e.Spawn(1%n, "child-waiter", 0, func(p *Proc) {
+		order = append(order, -1_000_000-p.Block())
+	})
+	for c := 0; c < n; c++ {
 		c := c
-		e.Spawn(c%e.Machine.NCores, "worker", int64(c), func(p *Proc) {
+		e.Spawn(c, "worker", int64(c), func(p *Proc) {
 			for i := 0; i < 8; i++ {
-				p.Advance(int64(5 + p.Engine().Rand.Intn(30)))
-				p.Idle(int64(p.Engine().Rand.Intn(7)))
+				p.Advance(5 + rand(30))
+				p.Idle(rand(7))
 				order = append(order, p.Now())
 			}
+			for i := 0; i < 4; i++ {
+				p.AdvanceUser(4 + rand(20))
+				p.IdleUntil(int64(150+60*i) + rand(40))
+				order = append(order, 2_000_000+p.Now())
+			}
+			nic.Use(p, 40)
+			order = append(order, 3_000_000+p.Now())
 			if c == 1 {
 				p.Engine().Spawn(0, "child", p.Now(), func(cp *Proc) {
 					cp.Advance(25)
-					order = append(order, cp.Now())
+					order = append(order, 5_000_000+cp.Now())
+					childWaiter.Wake(cp.Now())
 				})
 			}
-			if c == e.Machine.NCores-1 {
+			if c == n-1 {
 				waiter.Wake(p.Now())
 			}
 		})
 	}
 	e.Run()
-	return order
+	return append(order, e.TotalUserCycles(), e.TotalSysCycles(), nic.BusyCycles(), nic.Uses())
 }
 
 // TestResetProducesIdenticalRuns is the engine-level reuse determinism
@@ -292,4 +309,157 @@ func TestResetWhileRunningPanics(t *testing.T) {
 		p.Engine().Reset(1)
 	})
 	e.Run()
+}
+
+// contTraceRun executes a second deterministic scenario on e, built from
+// continuation-style bodies: each proc is a straight-line chain of single
+// blocking calls with its state in closure variables, the shape of the
+// kernel's timed-fault injector (an IdleUntil per step) and the tbl-hw
+// latency probes (an Advance per memory access). The chains cover
+// AdvanceUser, Idle, IdleUntil, a shared Resource contended through Use,
+// Block/Wake in both directions between chain procs and loop procs, PRNG
+// draws between steps, and a child spawned mid-chain. It returns the event
+// trace followed by the run's cycle accounting.
+func contTraceRun(e *Engine) []int64 {
+	var order []int64
+	n := e.Machine.NCores
+	nic := NewResource("nic")
+
+	var loopWaiter *Proc
+	loopWaiter = e.Spawn(0, "loop-waiter", 0, func(p *Proc) {
+		order = append(order, -p.Block())
+	})
+	chainWaiter := e.Spawn(1%n, "chain-waiter", 0, func(p *Proc) {
+		p.Block()
+		order = append(order, -1000-p.Now())
+	})
+
+	for c := 0; c < n; c++ {
+		c := c
+		e.Spawn(c, "loop-worker", int64(c), func(p *Proc) {
+			for i := 0; i < 6; i++ {
+				p.Advance(int64(5 + p.Engine().Rand.Intn(30)))
+				p.Idle(int64(p.Engine().Rand.Intn(7)))
+				order = append(order, p.Now())
+			}
+			nic.Use(p, 40)
+			order = append(order, p.Now())
+			if c == 0 {
+				chainWaiter.Wake(p.Now())
+			}
+		})
+	}
+
+	for c := 0; c < n; c++ {
+		c := c
+		e.Spawn(c, "chain-worker", int64(10+c), func(p *Proc) {
+			for i := 0; i < 6; i++ {
+				p.AdvanceUser(int64(4 + p.Engine().Rand.Intn(20)))
+				order = append(order, 2_000_000+p.Now())
+				p.Idle(int64(p.Engine().Rand.Intn(5)))
+			}
+			p.IdleUntil(p.Now() + int64(p.Engine().Rand.Intn(50)))
+			if c == 1%n {
+				p.Engine().Spawn(0, "chain-child", p.Now(), func(cp *Proc) {
+					cp.Advance(25)
+					order = append(order, 5_000_000+cp.Now())
+				})
+			}
+			if c == n-1 {
+				loopWaiter.Wake(p.Now())
+			}
+			nic.Use(p, 30)
+			order = append(order, 7_000_000+p.Now())
+		})
+	}
+
+	e.Run()
+	return append(order, e.TotalUserCycles(), e.TotalSysCycles(), nic.BusyCycles(), nic.Uses())
+}
+
+func diffTraces(t *testing.T, label string, want, got []int64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: trace length %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: diverged at event %d: got %d, want %d", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestContResetProducesIdenticalRuns: the continuation-style scenario
+// replays bit-for-bit on an engine reused across a machine change and
+// across a same-machine Reset.
+func TestContResetProducesIdenticalRuns(t *testing.T) {
+	fresh := contTraceRun(NewEngine(topo.New(4), 42))
+
+	e := NewPooledEngine(topo.New(2), 7)
+	contTraceRun(e)
+	e.ResetFor(topo.New(4), 42)
+	diffTraces(t, "reused", fresh, contTraceRun(e))
+
+	e.Reset(42)
+	diffTraces(t, "reset-same-machine", fresh, contTraceRun(e))
+	e.Close()
+}
+
+// TestContDeadlockRecoveryReplay: a deadlock with one proc blocked after an
+// Advance and one blocked after an IdleUntil (the injector's wait) is
+// reported with both names; Reset reclaims both coroutines, and the
+// continuation-style scenario then replays as on a fresh engine.
+func TestContDeadlockRecoveryReplay(t *testing.T) {
+	e := NewPooledEngine(topo.New(4), 1)
+	e.Spawn(0, "stuck-advance", 0, func(p *Proc) { p.Advance(5); p.Block() })
+	e.Spawn(1, "stuck-idle", 0, func(p *Proc) { p.IdleUntil(50); p.Block() })
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("deadlocked Run did not panic")
+			}
+			msg, _ := r.(string)
+			if !strings.Contains(msg, "stuck-advance") || !strings.Contains(msg, "stuck-idle") {
+				t.Errorf("deadlock report misses a blocked proc: %q", msg)
+			}
+		}()
+		e.Run()
+	}()
+
+	e.Reset(42)
+	if got := e.NumParked(); got != 2 {
+		t.Fatalf("Reset reclaimed %d procs, want 2", got)
+	}
+	diffTraces(t, "post-deadlock", contTraceRun(NewEngine(topo.New(4), 42)), contTraceRun(e))
+	e.Close()
+}
+
+// TestContResetNeverRunEngine covers Reset with never-dispatched procs
+// that were spawned with future start times, as the injector and probes
+// are: the slots are reclaimed and reused, and the next run's chain starts
+// from the reset clock.
+func TestContResetNeverRunEngine(t *testing.T) {
+	e := NewPooledEngine(topo.New(2), 1)
+	e.Spawn(0, "never-ran-early", 0, func(p *Proc) { p.IdleUntil(100) })
+	e.Spawn(1, "never-ran-late", 1_000, func(p *Proc) { p.Advance(1) })
+	e.Reset(1)
+	if got := e.NumParked(); got != 2 {
+		t.Fatalf("Reset reclaimed %d procs, want 2", got)
+	}
+	var end int64
+	e.Spawn(0, "chain", 0, func(p *Proc) {
+		p.Advance(10)
+		p.IdleUntil(40)
+		p.AdvanceUser(5)
+		end = p.Now()
+	})
+	if got := e.NumParked(); got != 1 {
+		t.Errorf("respawn left %d procs parked, want 1 (one slot reused)", got)
+	}
+	e.Run()
+	if end != 45 {
+		t.Errorf("chain on reset engine ended at %d, want 45", end)
+	}
+	e.Close()
 }

@@ -8,20 +8,12 @@
 // Advance (busy CPU cycles, which occupy their core), Idle (waiting
 // without using the core), Block/Wake (for locks and queues), and Now.
 //
-// Procs come in two flavors. A coroutine proc (Spawn) runs an arbitrary
-// body function on an iter.Pull coroutine and may park anywhere — inside
-// locks, queues, nested subsystem calls: Run resumes it with the
-// coroutine's next, and a yielding call (Advance, Idle, Block, ...)
-// returns control to Run through the coroutine's yield, a direct switch
-// on the same OS thread with no scheduler or channel involved. A
-// continuation proc (SpawnCont) has no coroutine at all: its body is a
-// chain of resumable segments (ContFunc) that Run executes inline, so
-// Spawn→run→finish costs no switch of any kind. Bodies that can block
-// mid-step on resources or locks stay on the coroutine path; everything
-// else can use continuations. The two flavors schedule identically — a
-// run mixing them is bit-for-bit reproducible, and an engine with
-// continuation scheduling disabled (SetContSched) runs the same
-// continuation bodies on coroutine procs with identical results.
+// A proc (Spawn) runs an arbitrary body function on an iter.Pull
+// coroutine and may park anywhere — inside locks, queues, nested
+// subsystem calls: Run resumes it with the coroutine's next, and a
+// yielding call (Advance, Idle, Block, ...) returns control to Run
+// through the coroutine's yield, a direct switch on the same OS thread
+// with no scheduler or channel involved.
 //
 // Engines are reusable: Reset returns an engine to its post-NewEngine
 // state without reallocating core arrays or proc slots. On a pooled
@@ -33,10 +25,9 @@
 // NewEngine a coroutine ends with its body, so dropping such an engine
 // after a completed Run leaks nothing even without Close.
 //
-// A panic raised by a proc body or continuation segment surfaces from
-// Run to its caller. The panicking slot's coroutine is finished and is
-// never reused; Reset unwinds the other procs' coroutines as it does
-// after a deadlock.
+// A panic raised by a proc body surfaces from Run to its caller. The
+// panicking slot's coroutine is finished and is never reused; Reset
+// unwinds the other procs' coroutines as it does after a deadlock.
 //
 // Virtual time is measured in CPU cycles of the modeled 2.4 GHz machine
 // (see internal/topo).
@@ -87,22 +78,15 @@ type Proc struct {
 
 	body func(*Proc)
 
-	// Coroutine procs (Spawn) run loop on an iter.Pull coroutine: Run
-	// resumes it with next, yieldTo suspends it with yield, and Close
-	// releases a parked one with stop. kill, set by Reset before it
-	// resumes the coroutine one last time, makes the coroutine unwind or
-	// skip its body instead of running it.
+	// A proc runs loop on an iter.Pull coroutine: Run resumes it with
+	// next, yieldTo suspends it with yield, and Close releases a parked
+	// one with stop. kill, set by Reset before it resumes the coroutine
+	// one last time, makes the coroutine unwind or skip its body instead
+	// of running it.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 	kill  bool
-
-	// Continuation procs (SpawnCont) have no coroutine: cont holds the
-	// next segment to run, and Run executes it inline. isCont is
-	// immutable per slot (coroutine and continuation slots are pooled
-	// separately).
-	cont   ContFunc
-	isCont bool
 }
 
 // Engine owns the virtual clock, the runnable queue, and per-core occupancy.
@@ -141,16 +125,6 @@ type Engine struct {
 	// (or happen from Reset with no proc running), so a plain slice is
 	// deterministic.
 	freeProcs []*Proc
-
-	// freeConts holds retired continuation-proc slots (no coroutine to
-	// park; pooling just recycles the structs). Kept separate from
-	// freeProcs so the two proc flavors never swap slots.
-	freeConts []*Proc
-	// noCont disables continuation scheduling (SetContSched): SpawnCont
-	// bodies run on coroutine procs through the directive interpreter
-	// instead, producing bit-identical traces — the determinism suite
-	// pins the two modes against each other.
-	noCont bool
 
 	userByCore []int64
 	sysByCore  []int64
@@ -209,11 +183,7 @@ func (e *Engine) ResetFor(m *topo.Machine, seed uint64) {
 	for _, p := range e.procs {
 		switch {
 		case p.state == stateDone:
-			continue // pooled: already in a free list
-		case p.isCont:
-			// No coroutine to unwind: dropping the pending segment is the
-			// whole kill.
-			p.cont = nil
+			continue // pooled: already in the free list
 		case p.state == stateRunning:
 			// Between dispatches only a proc whose body panicked out of
 			// Run is left running. Its coroutine finished with the panic,
@@ -254,22 +224,15 @@ func (e *Engine) Close() {
 		p.stop()
 	}
 	e.freeProcs = e.freeProcs[:0]
-	e.freeConts = e.freeConts[:0]
 }
 
 // NumParked returns how many proc coroutines are parked in the free list
 // awaiting reuse.
 func (e *Engine) NumParked() int { return len(e.freeProcs) }
 
-// recycle puts a finished slot on its flavor's free list on pooled
-// engines.
+// recycle puts a finished slot on the free list on pooled engines.
 func (e *Engine) recycle(p *Proc) {
-	if !e.pooled {
-		return
-	}
-	if p.isCont {
-		e.freeConts = append(e.freeConts, p)
-	} else {
+	if e.pooled {
 		e.freeProcs = append(e.freeProcs, p)
 	}
 }
@@ -382,11 +345,11 @@ func (e *Engine) enqueue(p *Proc) {
 // Run executes the simulation until every proc has exited. It panics with a
 // description of the waiters if all remaining procs are blocked (deadlock),
 // since that is always a bug in the model; a panic raised by a proc body
-// or continuation segment propagates out of Run unchanged.
+// propagates out of Run unchanged.
 //
-// Run is the only dispatcher: it pops runnable procs in (time, seq) order,
-// executes continuation procs inline, and resumes coroutine procs, each of
-// which runs until its next yielding call hands control back.
+// Run is the only dispatcher: it pops runnable procs in (time, seq) order
+// and resumes each one's coroutine, which runs until its next yielding
+// call hands control back.
 func (e *Engine) Run() {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -400,10 +363,6 @@ func (e *Engine) Run() {
 		}
 		p := e.runnable.pop()
 		e.now = p.time
-		if p.isCont {
-			e.runCont(p)
-			continue
-		}
 		p.state = stateRunning
 		p.next()
 	}
@@ -477,14 +436,6 @@ func sum(xs []int64) int64 {
 // it, the proc's time is already its dispatch time; when Reset resumes it
 // to reclaim the slot, the body unwinds via the killed sentinel.
 func (p *Proc) yieldTo(kind yieldKind) {
-	if p.isCont {
-		// Continuation bodies must express scheduling through directives;
-		// a plain yield-capable call has no coroutine to suspend.
-		panic(fmt.Sprintf(
-			"sim: continuation proc %s called a yielding method (Advance/Idle/Use/Block); "+
-				"continuation segments must return directives (AdvanceThen, IdleThen, UseThen, BlockThen) instead",
-			p.Name))
-	}
 	if kind == yieldReady {
 		p.eng.enqueue(p)
 	} else {
@@ -521,37 +472,27 @@ func (p *Proc) AdvanceUser(cycles int64) {
 	p.advance(cycles, &p.user)
 }
 
+// advance charges busy cycles against the proc's core. A zero-cycle
+// charge is a no-op that skips the yield check entirely.
 func (p *Proc) advance(cycles int64, acct *int64) {
-	if !p.chargeCore(cycles, acct) {
-		return
-	}
-	if p.eng.keepRunning(p.time) {
-		return
-	}
-	p.yieldTo(yieldReady)
-}
-
-// chargeCore applies a busy-cycle charge against the proc's core and
-// reports whether the clock moved. Zero-cycle charges are no-ops that skip
-// the yield check entirely — the continuation interpreter mirrors this so
-// both scheduling modes evolve the heap identically.
-func (p *Proc) chargeCore(cycles int64, acct *int64) bool {
 	if cycles < 0 {
 		panic(fmt.Sprintf("sim: negative advance %d by %s", cycles, p.Name))
 	}
 	if cycles == 0 {
-		return false
+		return
 	}
 	free := p.eng.coreFree[p.core]
 	start := p.time
 	if free > start {
 		start = free
 	}
-	end := start + cycles
-	p.eng.coreFree[p.core] = end
-	p.time = end
+	p.time = start + cycles
+	p.eng.coreFree[p.core] = p.time
 	*acct += cycles
-	return true
+	if p.eng.keepRunning(p.time) {
+		return
+	}
+	p.yieldTo(yieldReady)
 }
 
 // Idle moves the proc's clock forward without occupying its core (e.g. a

@@ -48,11 +48,6 @@ type Options struct {
 	// and a retune invalidates only the affected experiments. Open one
 	// with OpenCache and Save it when done.
 	Cache *Cache
-	// FreshEngines disables the engine arena: every sweep point builds a
-	// brand-new simulation engine instead of resetting a pooled one.
-	// Results are identical either way; this is an escape hatch and
-	// comparison knob.
-	FreshEngines bool
 	// Fault is a deterministic fault-injection spec applied to every
 	// kernel the experiment boots: comma-separated events like
 	// "link:3-4@50%,dram:0@75%,core:7@off,drop:0.01,dup:0.001", each with
@@ -404,7 +399,7 @@ func Run(id string, o Options) (*Series, error) {
 	}
 	ho := harness.Options{
 		Cores: o.Cores, Quick: o.Quick, Seed: o.Seed, Serial: o.Serial,
-		Placement: pl, FreshEngines: o.FreshEngines, PointTimeout: o.PointTimeout,
+		Placement: pl, PointTimeout: o.PointTimeout,
 	}
 	if o.Machine != "" {
 		ho.Machine = m

@@ -130,20 +130,6 @@ func TestCacheStatsPerExperiment(t *testing.T) {
 	}
 }
 
-func TestFreshEnginesMatchesArena(t *testing.T) {
-	a, err := Run("scount", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("scount", Options{Quick: true, FreshEngines: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Table() != b.Table() {
-		t.Error("arena and fresh-engine runs differ through the public API")
-	}
-}
-
 func TestCustomCoreSweep(t *testing.T) {
 	s, err := Run("fig9", Options{Cores: []int{1, 48}, Quick: true})
 	if err != nil {
