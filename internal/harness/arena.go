@@ -68,12 +68,12 @@ func (s *engineSlot) abandon() {
 	s.mu.Unlock()
 }
 
-// engineArena is the process-wide sync.Pool-style arena the sweep workers
-// draw engine slots from: a 48-point x N-variant grid reuses at most
-// GOMAXPROCS engines in total. Unlike a real sync.Pool the arena never
-// lets the GC drop a slot silently — an engine holds parked proc
-// coroutines (each a goroutine), so slots beyond the cap are Closed
-// explicitly when returned.
+// engineArena is the process-wide sync.Pool-style arena sweep's workers
+// draw engine slots from, one slot per worker: a 48-point x N-variant
+// grid reuses at most GOMAXPROCS engines in total. Unlike a real
+// sync.Pool the arena never lets the GC drop a slot silently — an engine
+// holds parked proc coroutines (each a goroutine), so slots beyond the
+// cap are Closed explicitly when returned.
 type engineArena struct {
 	mu   sync.Mutex
 	free []*engineSlot
@@ -109,10 +109,10 @@ func (a *engineArena) put(s *engineSlot) {
 	}
 }
 
-// newEngine returns the engine for one sweep point: the calling worker's
-// pooled engine (reset to the machine and the run's seed) when the arena
-// is active, or a fresh engine when it is not (o.freshEngines, or a
-// caller outside parallelMap).
+// newEngine returns the engine for one sweep point: the calling sweep
+// worker's pooled engine (reset to the machine and the run's seed), or a
+// fresh engine when o carries no slot — o.freshEngines, safeCachedPoint's
+// retry, and the probe experiments, which drive an engine outside sweep.
 func (o Options) newEngine(m *topo.Machine) *sim.Engine {
 	if o.freshEngines || o.slot == nil {
 		return sim.NewEngine(m, o.seed())

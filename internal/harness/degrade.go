@@ -64,11 +64,7 @@ func runDegrade(o Options) *Series {
 		Title: fmt.Sprintf("Graceful degradation at %d cores, fault spec %s", cores, base),
 		Unit:  "req/s/core",
 	}
-	// Reuse the grid machinery with severity as the sweep axis: runGrid
-	// hands each variantRun one value from o.Cores, which here is the
-	// severity percent, and the runner pins the real core count itself.
-	so := o
-	so.Cores = severities
+	// Severity is the cells' axis; each run pins the real core count.
 	var runs []variantRun
 	for _, cfgv := range []struct {
 		name string
@@ -81,25 +77,27 @@ func runDegrade(o Options) *Series {
 			return p
 		}})
 	}
-	so.runGrid(s, runs)
+	pts, errs := o.sweepPoints(s, grid(severities, runs))
 
 	s.Notes = append(s.Notes,
 		fmt.Sprintf("cores column = fault severity (%% of spec) at a fixed %d cores", cores),
 		fmt.Sprintf("injected capacity loss at full severity: %.0f%%", 100*base.LossBound(cores)))
-	for _, v := range s.Variants() {
-		healthy, ok := s.Get(v, 0)
-		if !ok || healthy.PerCore <= 0 {
+	for vi, vr := range runs {
+		row := vi * len(severities)
+		healthy := pts[row]
+		if errs[row] != nil || healthy.PerCore <= 0 {
 			continue
 		}
-		for _, sev := range severities[1:] {
-			p, ok := s.Get(v, sev)
-			if !ok {
+		for j, sev := range severities[1:] {
+			if why := rowSkipReason(errs[row+1+j : row+2+j]); why != "" {
+				s.Notes = append(s.Notes, fmt.Sprintf("  %-6s @%3d%%: skipped: %s", vr.name, sev, why))
 				continue
 			}
+			p := pts[row+1+j]
 			floor := gracefulFloor(m, base.Scale(float64(sev)/100), cores, healthy.PerCore)
 			s.Notes = append(s.Notes, fmt.Sprintf(
 				"  %-6s @%3d%%: retention %.2f (graceful floor %.2f), %.3f retries/op",
-				v, sev, p.PerCore/healthy.PerCore, floor, p.Retries))
+				vr.name, sev, p.PerCore/healthy.PerCore, floor, p.Retries))
 		}
 	}
 	return s

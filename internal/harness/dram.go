@@ -82,7 +82,7 @@ func runPlacementSweep(o Options, id, title string, notes []string) *Series {
 			return p
 		}})
 	}
-	o.runGrid(s, runs)
+	o.sweepPoints(s, grid(o.cores(), runs))
 	s.Notes = append(s.Notes, notes...)
 	return s
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -49,14 +48,14 @@ func runExim(cfg kernel.Config, cores int, o Options) apps.Result {
 	k := o.newKernel(o.topo(cores), cfg)
 	opts := apps.DefaultEximOpts()
 	opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
-	return RunTagged(apps.RunExim(k, opts))
+	return apps.RunExim(k, opts)
 }
 
 func runMemcached(cfg kernel.Config, cores int, o Options) apps.Result {
 	k := o.newKernel(o.topo(cores), cfg)
 	opts := apps.DefaultMemcachedOpts()
 	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
-	return RunTagged(apps.RunMemcached(k, opts))
+	return apps.RunMemcached(k, opts)
 }
 
 func runApache(cfg kernel.Config, cores int, single bool, o Options) apps.Result {
@@ -64,7 +63,7 @@ func runApache(cfg kernel.Config, cores int, single bool, o Options) apps.Result
 	opts := apps.DefaultApacheOpts()
 	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
 	opts.SingleInstance = single
-	return RunTagged(apps.RunApache(k, opts))
+	return apps.RunApache(k, opts)
 }
 
 func runPostgres(cfg kernel.Config, cores int, writeFrac float64, mod bool, o Options) apps.Result {
@@ -74,7 +73,7 @@ func runPostgres(cfg kernel.Config, cores int, writeFrac float64, mod bool, o Op
 	opts.WriteFraction = writeFrac
 	opts.ModPG = mod
 	opts.Placement = o.Placement
-	return RunTagged(apps.RunPostgres(k, opts))
+	return apps.RunPostgres(k, opts)
 }
 
 func runGmake(cfg kernel.Config, cores int, o Options) apps.Result {
@@ -82,7 +81,7 @@ func runGmake(cfg kernel.Config, cores int, o Options) apps.Result {
 	opts := apps.DefaultGmakeOpts()
 	opts.Objects = scale(opts.Objects, o.Quick)
 	opts.Placement = o.Placement
-	return RunTagged(apps.RunGmake(k, opts))
+	return apps.RunGmake(k, opts)
 }
 
 func runPedsort(mode apps.PedsortMode, cores int, o Options) apps.Result {
@@ -95,7 +94,7 @@ func runPedsort(mode apps.PedsortMode, cores int, o Options) apps.Result {
 	opts.Files = scale(opts.Files, o.Quick)
 	opts.Mode = mode
 	opts.Placement = o.Placement
-	return RunTagged(apps.RunPedsort(k, opts))
+	return apps.RunPedsort(k, opts)
 }
 
 func runMetis(super bool, cores int, o Options) apps.Result {
@@ -110,11 +109,8 @@ func runMetis(super bool, cores int, o Options) apps.Result {
 	}
 	opts.SuperPages = super
 	opts.Placement = o.Placement
-	return RunTagged(apps.RunMetis(k, opts))
+	return apps.RunMetis(k, opts)
 }
-
-// RunTagged is an identity hook kept for future per-run instrumentation.
-func RunTagged(r apps.Result) apps.Result { return r }
 
 // stockPK runs a two-variant (Stock vs PK) sweep, plus any registered
 // extra variants (a figure's own placement curve, say).
@@ -134,7 +130,7 @@ func stockPK(o Options, unit string, id, title string,
 		}})
 	}
 	runs = append(runs, extras...)
-	o.runGrid(s, runs)
+	o.sweepPoints(s, grid(o.cores(), runs))
 	return s
 }
 
@@ -192,7 +188,7 @@ func init() {
 		Domains: withApps("apache"),
 		Run: func(o Options) *Series {
 			s := &Series{ID: "fig6", Title: "Apache (Figure 6)", Unit: "req/s/core"}
-			o.runGrid(s, []variantRun{
+			o.sweepPoints(s, grid(o.cores(), []variantRun{
 				// Stock: one instance per core on distinct ports (§5.4).
 				{"Stock", func(c int, o Options) Point {
 					return point(runApache(kernel.Stock(), c, false, o), "Stock", 1)
@@ -200,7 +196,7 @@ func init() {
 				{"PK", func(c int, o Options) Point {
 					return point(runApache(kernel.PK(), c, true, o), "PK", 1)
 				}},
-			})
+			}))
 			return s
 		},
 	})
@@ -260,7 +256,7 @@ func init() {
 				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
 				return point(runPedsort(apps.PedsortProcsRR, c, o), "Procs RR + striped", 3600)
 			}})
-			o.runGrid(s, runs)
+			o.sweepPoints(s, grid(o.cores(), runs))
 			return s
 		},
 	})
@@ -290,7 +286,7 @@ func init() {
 				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
 				return point(runMetis(true, c, o), "PK + 2MB striped", 3600)
 			}})
-			o.runGrid(s, runs)
+			o.sweepPoints(s, grid(o.cores(), runs))
 			return s
 		},
 	})
@@ -327,7 +323,7 @@ func runPostgresFig(o Options, id string, writeFrac float64) *Series {
 			return point(runPostgres(v.cfg, c, writeFrac, v.mod, o), v.name, 1)
 		}})
 	}
-	o.runGrid(s, runs)
+	o.sweepPoints(s, grid(o.cores(), runs))
 	return s
 }
 
@@ -366,44 +362,25 @@ func runFig3(o Options) *Series {
 			func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
 	}
 	s.Notes = append(s.Notes, "Table rows are applications, in Figure 3's order:")
-	// Each application needs four independent measurements (stock/PK at
-	// 1 and 48 cores); run all of them concurrently (each cacheable on its
-	// own, each crash-isolated) and assemble by index.
-	fig3Label := func(i int) (label string, cores int) {
-		a := appsList[i/4]
-		cores = 1
-		if i%2 == 1 {
-			cores = max
-		}
-		label = a.name + "/Stock"
-		if i%4 >= 2 {
-			label = a.name + "/PK"
-		}
-		return label, cores
-	}
-	results := make([]Point, len(appsList)*4)
-	errs := make([]error, len(results))
-	o.parallelMap(len(results), func(i int, wo Options) {
-		a := appsList[i/4]
-		label, cores := fig3Label(i)
-		run := a.stock
-		if i%4 >= 2 {
-			run = a.pk
-		}
-		results[i], errs[i] = wo.safeCachedPoint("fig3", label, cores, func(co Options) Point {
-			return point(run(cores, co), label, 1)
-		})
-	})
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, errShardSkipped) {
-			label, cores := fig3Label(i)
-			s.Failed = append(s.Failed, FailedPoint{Variant: label, Cores: cores, Err: err.Error()})
+	// Each application needs four measurements (stock/PK at 1 and max
+	// cores), each its own cell.
+	var cells []cell
+	for _, a := range appsList {
+		for _, v := range []struct {
+			label string
+			run   func(cores int, o Options) apps.Result
+		}{{a.name + "/Stock", a.stock}, {a.name + "/PK", a.pk}} {
+			for _, cores := range []int{1, max} {
+				cells = append(cells, cell{v.label, cores, func(co Options) Point {
+					return point(v.run(cores, co), v.label, 1)
+				}})
+			}
 		}
 	}
+	results, errs := o.sweep(s, cells)
 	for i, a := range appsList {
-		if errs[i*4] != nil || errs[i*4+1] != nil || errs[i*4+2] != nil || errs[i*4+3] != nil {
-			s.Notes = append(s.Notes, fmt.Sprintf("  row %d: %-12s skipped: %s", i+1, a.name,
-				rowSkipReason(errs[i*4:i*4+4])))
+		if why := rowSkipReason(errs[i*4 : i*4+4]); why != "" {
+			s.Notes = append(s.Notes, fmt.Sprintf("  row %d: %-12s skipped: %s", i+1, a.name, why))
 			continue
 		}
 		s1, s48, p1, p48 := results[i*4], results[i*4+1], results[i*4+2], results[i*4+3]
@@ -446,33 +423,19 @@ func runFig12(o Options) *Series {
 		{"Metis", "HW: DRAM throughput",
 			func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
 	}
-	// Two independent measurements per row (1 and 48 cores), fanned out,
-	// individually cacheable, and crash-isolated.
-	pts := make([]Point, len(rows)*2)
-	errs := make([]error, len(pts))
-	o.parallelMap(len(pts), func(i int, wo Options) {
-		r := rows[i/2]
-		cores := 1
-		if i%2 == 1 {
-			cores = max
-		}
-		pts[i], errs[i] = wo.safeCachedPoint("fig12", r.app, cores, func(co Options) Point {
-			return point(r.run(cores, co), r.app, 1)
-		})
-	})
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, errShardSkipped) {
-			cores := 1
-			if i%2 == 1 {
-				cores = max
-			}
-			s.Failed = append(s.Failed, FailedPoint{Variant: rows[i/2].app, Cores: cores, Err: err.Error()})
+	// Two measurements per row: 1 and max cores.
+	var cells []cell
+	for _, r := range rows {
+		for _, cores := range []int{1, max} {
+			cells = append(cells, cell{r.app, cores, func(co Options) Point {
+				return point(r.run(cores, co), r.app, 1)
+			}})
 		}
 	}
+	pts, errs := o.sweep(s, cells)
 	for i, r := range rows {
-		if errs[i*2] != nil || errs[i*2+1] != nil {
-			s.Notes = append(s.Notes,
-				fmt.Sprintf("%-12s %-42s skipped: %s", r.app, r.attribution, rowSkipReason(errs[i*2:i*2+2])))
+		if why := rowSkipReason(errs[i*2 : i*2+2]); why != "" {
+			s.Notes = append(s.Notes, fmt.Sprintf("%-12s %-42s skipped: %s", r.app, r.attribution, why))
 			continue
 		}
 		retained := pts[i*2+1].PerCore / pts[i*2].PerCore

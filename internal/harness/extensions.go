@@ -93,20 +93,27 @@ func runScalableLocks(o Options) *Series {
 		}()},
 	}
 	max := o.maxCores()
+	var cells []cell
 	for _, v := range variants {
-		k := o.newKernel(o.topo(max), v.cfg)
-		opts := apps.DefaultEximOpts()
-		opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
-		r := apps.RunExim(k, opts)
-		s.Points = append(s.Points, Point{
-			Cores:      max,
-			Variant:    v.name,
-			PerCore:    r.PerCore(),
-			UserMicros: r.UserMicrosPerOp(),
-			SysMicros:  r.SysMicrosPerOp(),
-		})
+		cells = append(cells, cell{v.name, max, func(co Options) Point {
+			return cpuPoint(runExim(v.cfg, max, co), v.name, max)
+		}})
 	}
+	o.sweepPoints(s, cells)
 	return s
+}
+
+// cpuPoint is a fixed-cores parameter sweep's point: per-core throughput
+// and the CPU breakdown, without point's memory-system and open-loop
+// columns.
+func cpuPoint(r apps.Result, variant string, cores int) Point {
+	return Point{
+		Cores:      cores,
+		Variant:    variant,
+		PerCore:    r.PerCore(),
+		UserMicros: r.UserMicrosPerOp(),
+		SysMicros:  r.SysMicrosPerOp(),
+	}
 }
 
 // runProfile reproduces the paper's diagnosis step: run a stock kernel
@@ -183,20 +190,18 @@ func runSpoolDirs(o Options) *Series {
 	s := &Series{ID: "spool-dirs",
 		Title: fmt.Sprintf("Exim spool directories (PK, %d cores)", max),
 		Unit:  "msg/s/core"}
+	var cells []cell
 	for _, dirs := range []int{1, 2, 4, 8, 16, 62, 256} {
-		k := o.newKernel(o.topo(max), kernel.PK())
-		opts := apps.DefaultEximOpts()
-		opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
-		opts.SpoolDirs = dirs
-		r := apps.RunExim(k, opts)
-		s.Points = append(s.Points, Point{
-			Cores:      max,
-			Variant:    fmt.Sprintf("dirs=%d", dirs),
-			PerCore:    r.PerCore(),
-			UserMicros: r.UserMicrosPerOp(),
-			SysMicros:  r.SysMicrosPerOp(),
-		})
+		variant := fmt.Sprintf("dirs=%d", dirs)
+		cells = append(cells, cell{variant, max, func(co Options) Point {
+			k := co.newKernel(co.topo(max), kernel.PK())
+			opts := apps.DefaultEximOpts()
+			opts.MessagesPerCore = scale(opts.MessagesPerCore, co.Quick)
+			opts.SpoolDirs = dirs
+			return cpuPoint(apps.RunExim(k, opts), variant, max)
+		}})
 	}
+	o.sweepPoints(s, cells)
 	return s
 }
 
@@ -211,21 +216,19 @@ func runLockMgr(o Options) *Series {
 	s := &Series{ID: "lockmgr",
 		Title: fmt.Sprintf("PostgreSQL lock-manager mutexes (stock kernel, r/w, %d cores)", cores),
 		Unit:  "q/s/core"}
+	var cells []cell
 	for _, n := range []int{1, 4, 16, 64, 1024} {
-		k := o.newKernel(o.topo(cores), kernel.Stock())
-		opts := apps.DefaultPostgresOpts()
-		opts.QueriesPerCore = scale(opts.QueriesPerCore, o.Quick)
-		opts.WriteFraction = 0.05
-		opts.LockMutexes = n
-		r := apps.RunPostgres(k, opts)
-		s.Points = append(s.Points, Point{
-			Cores:      cores,
-			Variant:    fmt.Sprintf("mutexes=%d", n),
-			PerCore:    r.PerCore(),
-			UserMicros: r.UserMicrosPerOp(),
-			SysMicros:  r.SysMicrosPerOp(),
-		})
+		variant := fmt.Sprintf("mutexes=%d", n)
+		cells = append(cells, cell{variant, cores, func(co Options) Point {
+			k := co.newKernel(co.topo(cores), kernel.Stock())
+			opts := apps.DefaultPostgresOpts()
+			opts.QueriesPerCore = scale(opts.QueriesPerCore, co.Quick)
+			opts.WriteFraction = 0.05
+			opts.LockMutexes = n
+			return cpuPoint(apps.RunPostgres(k, opts), variant, cores)
+		}})
 	}
+	o.sweepPoints(s, cells)
 	s.Notes = append(s.Notes,
 		"More mutexes spread false contention; the full modPG also adds the lock-free fast path.")
 	return s
@@ -243,40 +246,40 @@ func runSteering(o Options) *Series {
 	s := &Series{ID: "steering",
 		Title: fmt.Sprintf("Flow-director misdirection (sampled steering, %d cores)", cores),
 		Unit:  "req/s/core"}
+	var cells []cell
 	for _, prob := range []float64{0.001, 0.2, 0.4, 0.6, 0.8} {
-		m := o.topo(cores)
-		cfg := kernel.PK()
-		cfg.ParallelAccept = false // sampled steering, shared backlog
-		k := o.newKernel(m, cfg)
-		netCfg := cfg.Net()
-		netCfg.MisdirectProb = prob
-		stack := netsim.NewStack(k.MD, k.FS, nil, k.DRAM, netCfg)
-		k.FS.MustCreateFile("/www/f", 300)
-		reqs := scale(150, o.Quick)
-		for c := 0; c < cores; c++ {
-			c := c
-			k.Engine.Spawn(c, fmt.Sprintf("srv-%d", c), 0, func(p *sim.Proc) {
-				l := stack.Listen(p)
-				for i := 0; i < reqs; i++ {
-					conn := stack.Accept(p, l)
-					stack.Recv(p, conn, 120)
-					f := k.FS.Open(p, "/www/f")
-					k.FS.Read(p, f, 300)
-					k.FS.Close(p, f)
-					stack.Send(p, conn, 550)
-					stack.CloseConn(p, conn)
-					p.AdvanceUser(10_000)
-				}
-			})
-		}
-		k.Engine.Run()
-		tput := float64(cores*reqs) / secsFor(m, k.Engine.Now()) / float64(cores)
-		s.Points = append(s.Points, Point{
-			Cores:   cores,
-			Variant: fmt.Sprintf("misdirect=%.0f%%", prob*100),
-			PerCore: tput,
-		})
+		variant := fmt.Sprintf("misdirect=%.0f%%", prob*100)
+		cells = append(cells, cell{variant, cores, func(co Options) Point {
+			m := co.topo(cores)
+			cfg := kernel.PK()
+			cfg.ParallelAccept = false // sampled steering, shared backlog
+			k := co.newKernel(m, cfg)
+			netCfg := cfg.Net()
+			netCfg.MisdirectProb = prob
+			stack := netsim.NewStack(k.MD, k.FS, nil, k.DRAM, netCfg)
+			k.FS.MustCreateFile("/www/f", 300)
+			reqs := scale(150, co.Quick)
+			for c := 0; c < cores; c++ {
+				k.Engine.Spawn(c, fmt.Sprintf("srv-%d", c), 0, func(p *sim.Proc) {
+					l := stack.Listen(p)
+					for i := 0; i < reqs; i++ {
+						conn := stack.Accept(p, l)
+						stack.Recv(p, conn, 120)
+						f := k.FS.Open(p, "/www/f")
+						k.FS.Read(p, f, 300)
+						k.FS.Close(p, f)
+						stack.Send(p, conn, 550)
+						stack.CloseConn(p, conn)
+						p.AdvanceUser(10_000)
+					}
+				})
+			}
+			k.Engine.Run()
+			tput := float64(cores*reqs) / secsFor(m, k.Engine.Now()) / float64(cores)
+			return Point{Cores: cores, Variant: variant, PerCore: tput}
+		}})
 	}
+	o.sweepPoints(s, cells)
 	s.Notes = append(s.Notes,
 		"Per-core backlog queues (PK) make steering exact and this sweep moot (§4.2).")
 	return s

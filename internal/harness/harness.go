@@ -161,8 +161,9 @@ type Options struct {
 	// tests only safeCachedPoint's retry sets it, to rule the arena out as
 	// a crash's cause; results are bit-for-bit identical either way.
 	freshEngines bool //mosvet:allow cachekeylint fresh and reused engines are bit-for-bit identical, pinned by TestEngineReuseDeterminism
-	// slot is the calling sweep worker's pooled engine, set by
-	// parallelMap; nil outside a sweep (fresh engines are used then).
+	// slot is the calling sweep worker's pooled engine, set by sweep; nil
+	// outside a sweep, where newEngine builds a fresh engine (the probe
+	// experiments, and safeCachedPoint's retry).
 	slot *engineSlot //mosvet:allow cachekeylint engine pooling handle; reuse is bit-for-bit identical to fresh engines
 	// slotGen pins the slot generation this Options was issued under; a
 	// stale generation (the watchdog abandoned the slot) makes newEngine
@@ -182,14 +183,19 @@ func (o Options) cores() []int {
 	if len(o.Cores) > 0 {
 		return o.Cores
 	}
-	m := o.machine()
+	return standardCores(o.machine(), o.Quick)
+}
+
+// standardCores is a machine's default sweep: DefaultCores or QuickCores
+// on the default machine, the same shapes scaled to any other.
+func standardCores(m *topo.Machine, quick bool) []int {
 	if m.IsDefault() {
-		if o.Quick {
+		if quick {
 			return QuickCores
 		}
 		return DefaultCores
 	}
-	if o.Quick {
+	if quick {
 		return quickCoresFor(m.MaxCores())
 	}
 	return defaultCoresFor(m.MaxCores())
@@ -276,103 +282,96 @@ func (o Options) seed() uint64 {
 	return o.Seed
 }
 
-// parallelMap runs fn(i, o') for every i in [0, n) and returns when all
-// calls have finished. Unless o.Serial is set, the calls are spread across
-// GOMAXPROCS workers; every index must be an independent simulation
-// writing only to its own slot of a caller-owned slice, which makes the
-// result independent of execution order. The Options each call receives
-// carry the worker's pooled engine slot (unless o.freshEngines), so a
-// whole grid reuses at most GOMAXPROCS engines.
-func (o Options) parallelMap(n int, fn func(i int, o Options)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	attach := func(o Options) (Options, func()) {
-		if o.freshEngines {
-			return o, func() {}
-		}
-		slot := arena.get()
-		o.slot = slot
-		o.slotGen = slot.generation()
-		return o, func() { arena.put(slot) }
-	}
-	if o.Serial || workers <= 1 {
-		wo := o
-		if wo.slot == nil { // reuse the experiment-level slot if present
-			var release func()
-			wo, release = attach(o)
-			defer release()
-		}
-		for i := 0; i < n; i++ {
-			fn(i, wo)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) { //mosvet:allow detlint sweep workers parallelize independent points (each owns its engine and PRNG); results are assembled by index
-			defer wg.Done()
-			// Worker 0 inherits the caller's (experiment-level) slot
-			// instead of leaving it idle, keeping the whole grid at no
-			// more than GOMAXPROCS engines.
-			wo := o
-			if w != 0 || o.slot == nil {
-				var release func()
-				wo, release = attach(o)
-				defer release()
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, wo)
-			}
-		}(w)
-	}
-	wg.Wait()
+// cell is one sweep point: run measures it, and (variant, cores)
+// identifies it. The pair keys the sweep-point cache, decides which shard
+// owns the point, and names it in Series.Failed, so it must be unique
+// within the experiment. cores is the point's x-axis value; an experiment
+// whose axis is not a core count (degrade's severity percent, latload's
+// offered-load percent) puts that value here, and run pins the simulated
+// core count itself.
+type cell struct {
+	variant string
+	cores   int
+	run     func(o Options) Point
 }
 
-// variantRun is one labeled curve of a grid experiment. The label both
-// names the points and keys the sweep-point cache, so it must be stable
-// and unique within the experiment.
+// variantRun is one labeled curve of a grid experiment, run at each value
+// of the grid's axis.
 type variantRun struct {
 	name string
 	run  func(cores int, o Options) Point
 }
 
-// runGrid executes every variant at every core count in o's sweep,
-// concurrently unless o.Serial, and appends the points to s grouped by
-// variant with cores ascending — exactly the order the equivalent nested
-// serial loops would produce. Each point is served from o.Cache when
-// possible, and each runs crash-isolated: a point that panics twice or
-// wedges past the watchdog lands in s.Failed instead of killing the sweep.
-func (o Options) runGrid(s *Series, runs []variantRun) {
-	cores := o.cores()
-	pts := make([]Point, len(runs)*len(cores))
-	errs := make([]error, len(pts))
-	o.parallelMap(len(pts), func(i int, wo Options) {
-		vr := runs[i/len(cores)]
-		c := cores[i%len(cores)]
-		pts[i], errs[i] = wo.safeCachedPoint(s.ID, vr.name, c, func(co Options) Point { return vr.run(c, co) })
-	})
-	for i := range pts {
-		if errs[i] != nil {
-			if errors.Is(errs[i], errShardSkipped) {
-				continue // another shard's point: not a failure, not a result
-			}
-			s.Failed = append(s.Failed, FailedPoint{
-				Variant: runs[i/len(cores)].name,
-				Cores:   cores[i%len(cores)],
-				Err:     errs[i].Error(),
-			})
-			continue
+// grid builds the variants × axis cell list, grouped by variant with the
+// axis in the given order — the order nested serial loops would produce.
+func grid(axis []int, runs []variantRun) []cell {
+	cells := make([]cell, 0, len(runs)*len(axis))
+	for _, vr := range runs {
+		for _, c := range axis {
+			cells = append(cells, cell{vr.name, c, func(o Options) Point { return vr.run(c, o) }})
 		}
-		s.Points = append(s.Points, pts[i])
 	}
+	return cells
+}
+
+// sweep is the harness's one way to compute Points. Every cell runs
+// through safeCachedPoint, so each is served from o.Cache when possible,
+// skipped when another shard owns it, and crash-isolated: a cell that
+// panics twice or wedges past the watchdog lands in s.Failed instead of
+// killing the sweep. Unless o.Serial, the cells run concurrently across
+// GOMAXPROCS workers, each holding one pooled engine slot from the arena
+// (unless o.freshEngines), so a whole grid reuses at most GOMAXPROCS
+// engines. Results come back by cell index, which makes them independent
+// of execution order; a shard-skipped cell's error is errShardSkipped,
+// and it appears in neither the points nor s.Failed.
+func (o Options) sweep(s *Series, cells []cell) ([]Point, []error) {
+	pts := make([]Point, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	work := func() {
+		wo := o
+		if !o.freshEngines {
+			slot := arena.get()
+			defer arena.put(slot)
+			wo.slot, wo.slotGen = slot, slot.generation()
+		}
+		for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
+			c := cells[i]
+			pts[i], errs[i] = wo.safeCachedPoint(s.ID, c.variant, c.cores, c.run)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(cells))
+	if o.Serial || workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() { //mosvet:allow detlint sweep workers parallelize independent points (each owns its engine and PRNG); results are assembled by index
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, errShardSkipped) {
+			s.Failed = append(s.Failed, FailedPoint{Variant: cells[i].variant, Cores: cells[i].cores, Err: err.Error()})
+		}
+	}
+	return pts, errs
+}
+
+// sweepPoints is sweep for experiments whose Points are the cells' own
+// measurements: every computed point is appended to s in cell order.
+func (o Options) sweepPoints(s *Series, cells []cell) ([]Point, []error) {
+	pts, errs := o.sweep(s, cells)
+	for i, p := range pts {
+		if errs[i] == nil {
+			s.Points = append(s.Points, p)
+		}
+	}
+	return pts, errs
 }
 
 // Experiment is one regenerable paper artifact.
@@ -397,23 +396,12 @@ type Experiment struct {
 
 var registry []Experiment
 
-// register adds an experiment, wrapping its Run so the whole invocation
-// holds one arena engine slot: serial experiment bodies (and the serial
-// parallelMap path) reuse that engine point to point, while the parallel
-// sweep workers attach their own slots. freshEngines bypasses the arena
-// everywhere.
+// register adds an experiment to the registry. Run needs no setup of its
+// own: every point an experiment computes goes through sweep, which
+// attaches the workers' pooled engines, and the probe experiments that
+// drive an engine directly get a fresh one from newEngine.
 func register(e Experiment) {
 	checkDomains(e.ID, e.Domains)
-	inner := e.Run
-	e.Run = func(o Options) *Series {
-		if !o.freshEngines && o.slot == nil {
-			slot := arena.get()
-			defer arena.put(slot)
-			o.slot = slot
-			o.slotGen = slot.generation()
-		}
-		return inner(o)
-	}
 	registry = append(registry, e)
 }
 

@@ -12,9 +12,10 @@ import (
 // body panicked twice (once on the pooled engine, once on a fresh one) or
 // wedged past the wall-clock watchdog.
 type FailedPoint struct {
-	// Variant and Cores identify the point the same way Series.Points do.
-	// For experiments that reuse the Cores column for another axis (fig3's
-	// row ordinal, degrade's severity percent), Cores carries that axis.
+	// Variant and Cores identify the point by its sweep cell. Cores is the
+	// cell's axis value: a core count, or for experiments whose axis is
+	// another quantity (degrade's severity percent, latload's offered-load
+	// percent), that value.
 	Variant string
 	Cores   int
 	// Err is the failure description (panic value and stack, or timeout).
@@ -91,10 +92,11 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 	}
 }
 
-// safeCachedPoint is cachedPoint with crash isolation: the point body runs
-// under runGuarded, a panicking point is retried exactly once on a fresh
-// non-pooled engine, and a second panic or a watchdog timeout yields an
-// error instead of a Point. A panic raised inside a simulated proc's body
+// safeCachedPoint is cachedPoint with crash isolation; sweep is its only
+// caller. A point another shard owns returns errShardSkipped unrun.
+// Otherwise the point body runs under runGuarded, a panicking point is
+// retried exactly once on a fresh non-pooled engine, and a second panic
+// or a watchdog timeout yields an error instead of a Point. A panic raised inside a simulated proc's body
 // surfaces from the engine's Run on the guarded goroutine like any other.
 // The pooled engine it left behind stays usable: its next Reset unwinds
 // the parked procs and drops the panicked slot. The fresh-engine retry

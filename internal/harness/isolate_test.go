@@ -53,15 +53,15 @@ func procPanicRuns(panics func(cores int, o Options) bool) []variantRun {
 func TestProcBodyPanicBecomesFailedPoint(t *testing.T) {
 	o := Options{Cores: []int{1, 8, 16, 48}, Seed: 1, Serial: true}
 	clean := &Series{ID: "iso-test"}
-	o.runGrid(clean, procPanicRuns(func(int, Options) bool { return false }))
+	o.sweepPoints(clean, grid(o.cores(), procPanicRuns(func(int, Options) bool { return false })))
 	if len(clean.Points) != 4 || len(clean.Failed) != 0 {
 		t.Fatalf("clean sweep: %d points, %d failures; want 4 and 0", len(clean.Points), len(clean.Failed))
 	}
 
 	s := &Series{ID: "iso-test"}
-	o.runGrid(s, procPanicRuns(func(c int, o Options) bool {
+	o.sweepPoints(s, grid(o.cores(), procPanicRuns(func(c int, o Options) bool {
 		return c == 16 || (c == 8 && !o.freshEngines)
-	}))
+	})))
 	if len(s.Failed) != 1 {
 		t.Fatalf("failed points = %+v, want exactly one", s.Failed)
 	}
@@ -93,7 +93,7 @@ func TestPointPanicIsRetriedOnFreshEngine(t *testing.T) {
 	}
 	o := Options{Cores: []int{1, 8}, Seed: 1}
 	s := &Series{ID: "iso-test"}
-	o.runGrid(s, isoRuns())
+	o.sweepPoints(s, grid(o.cores(), isoRuns()))
 	if len(s.Failed) != 0 {
 		t.Fatalf("transient panic left failed points: %+v", s.Failed)
 	}
@@ -116,7 +116,7 @@ func TestPersistentPanicFailsExactlyOnePoint(t *testing.T) {
 	}
 	o := Options{Cores: []int{1, 8, 48}, Seed: 1}
 	s := &Series{ID: "iso-test"}
-	o.runGrid(s, isoRuns())
+	o.sweepPoints(s, grid(o.cores(), isoRuns()))
 	if len(s.Failed) != 1 {
 		t.Fatalf("failed points = %+v, want exactly one", s.Failed)
 	}
@@ -158,7 +158,7 @@ func TestAbandonedPointStaysOutOfCache(t *testing.T) {
 	}}}
 	o := Options{Cores: []int{1, 8}, Seed: 1, PointTimeout: 100 * time.Millisecond, Cache: c}
 	s := &Series{ID: "iso-test"}
-	o.runGrid(s, runs)
+	o.sweepPoints(s, grid(o.cores(), runs))
 	if len(s.Failed) != 1 || !strings.Contains(s.Failed[0].Err, "timed out") {
 		t.Fatalf("failed points = %+v, want the wedged point timed out", s.Failed)
 	}
@@ -171,7 +171,7 @@ func TestAbandonedPointStaysOutOfCache(t *testing.T) {
 	}
 	// A rerun must re-simulate the abandoned point, not replay it.
 	s2 := &Series{ID: "iso-test"}
-	o.runGrid(s2, runs)
+	o.sweepPoints(s2, grid(o.cores(), runs))
 	if got := simsAt8.Load(); got != 2 {
 		t.Errorf("cores=8 simulated %d times across both runs, want 2 (the rerun must not be served from cache)", got)
 	}
@@ -192,7 +192,7 @@ func TestWedgedPointHitsWatchdogWithoutRetry(t *testing.T) {
 	o := Options{Cores: []int{1, 8}, Seed: 1, PointTimeout: 100 * time.Millisecond}
 	s := &Series{ID: "iso-test"}
 	start := time.Now()
-	o.runGrid(s, isoRuns())
+	o.sweepPoints(s, grid(o.cores(), isoRuns()))
 	if len(s.Failed) != 1 || !strings.Contains(s.Failed[0].Err, "timed out") {
 		t.Fatalf("failed points = %+v, want one timeout", s.Failed)
 	}
@@ -207,4 +207,66 @@ func TestWedgedPointHitsWatchdogWithoutRetry(t *testing.T) {
 	}
 	// Let the leaked sleeper drain before the next test reuses the hook.
 	time.Sleep(1600 * time.Millisecond)
+}
+
+// TestSweepShapesIsolateCrashes panics one chosen point on both attempts
+// in an experiment of each shape that once had its own fan-out or loop:
+// a pair of derived-note measurements (dma), notes-only ablation rows
+// (ablate), a fixed-cores parameter sweep (spool-dirs), per-row 1-vs-max
+// retention (fig12) and a severity axis (degrade). Each must report
+// exactly that point as failed, keep every other point, and mark the
+// failed point's derived note skipped.
+func TestSweepShapesIsolateCrashes(t *testing.T) {
+	defer func() { testPointHook = nil }()
+	for _, tc := range []struct {
+		exp, variant string
+		cores        int
+		points       int    // points that must survive
+		note         string // prefix of the failed point's derived note; "" when it has none
+	}{
+		{"dma", "local pools", 48, 1, "local-node allocation"},
+		{"ablate", "dst-ref/fix", 48, 0, "dst-ref "},
+		{"spool-dirs", "dirs=4", 48, 6, ""},
+		{"fig12", "Exim", 48, 0, "Exim "},
+		{"degrade", "PK", 50, 5, "  PK     @ 50%"},
+	} {
+		t.Run(tc.exp, func(t *testing.T) {
+			testPointHook = func(exp, variant string, cores, attempt int) {
+				if exp == tc.exp && variant == tc.variant && cores == tc.cores {
+					panic("injected persistent panic")
+				}
+			}
+			s := ByID(tc.exp).Run(quickOpts())
+			if len(s.Failed) != 1 {
+				t.Fatalf("failed points = %+v, want exactly %s@%d", s.Failed, tc.variant, tc.cores)
+			}
+			if f := s.Failed[0]; f.Variant != tc.variant || f.Cores != tc.cores ||
+				!strings.Contains(f.Err, "injected persistent panic") || !strings.Contains(f.Err, "retry") {
+				t.Errorf("failure %+v should be %s@%d carrying the panic value and noting the retry", f, tc.variant, tc.cores)
+			}
+			if len(s.Points) != tc.points {
+				t.Errorf("%d points survived, want %d: %+v", len(s.Points), tc.points, s.Points)
+			}
+			if _, ok := s.Get(tc.variant, tc.cores); ok {
+				t.Errorf("the failed point %s@%d is listed among the points", tc.variant, tc.cores)
+			}
+			skipped := 0
+			for _, n := range s.Notes {
+				if !strings.Contains(n, "skipped") {
+					continue
+				}
+				skipped++
+				if tc.note == "" || !strings.HasPrefix(n, tc.note) {
+					t.Errorf("note %q reads skipped; only the failed point's derived note should", n)
+				}
+			}
+			want := 0
+			if tc.note != "" {
+				want = 1
+			}
+			if skipped != want {
+				t.Errorf("%d notes read skipped, want %d:\n%s", skipped, want, strings.Join(s.Notes, "\n"))
+			}
+		})
+	}
 }

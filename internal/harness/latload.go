@@ -49,7 +49,7 @@ func runMemcachedOpenLoop(cfg kernel.Config, cores int, o Options, ol apps.OpenL
 	k := o.newKernel(o.topo(cores), cfg)
 	ol.RequestsPerCore = scale(load.DefaultRequestsPerCore, o.Quick)
 	ol.CalibRequestsPerCore = scale(load.DefaultCalibRequestsPerCore, o.Quick)
-	return RunTagged(apps.RunMemcachedOpenLoop(k, apps.DefaultMemcachedOpts(), ol))
+	return apps.RunMemcachedOpenLoop(k, apps.DefaultMemcachedOpts(), ol)
 }
 
 // runLatload sweeps offered load at a fixed core count on the PK kernel:
@@ -81,10 +81,8 @@ func runLatload(o Options) *Series {
 			cores, o.Arrival.String(), o.Link.String(), shed),
 		Unit: "req/s/core",
 	}
-	// Reuse the grid machinery with the load multiplier as the sweep
-	// axis, like degrade does with fault severity.
-	so := o
-	so.Cores = mults
+	// The load multiplier is the cells' axis, like degrade's fault
+	// severity; each run pins the real core count itself.
 	variants := []struct {
 		name string
 		shed *load.ShedSpec
@@ -104,7 +102,7 @@ func runLatload(o Options) *Series {
 			return p
 		}})
 	}
-	so.runGrid(s, runs)
+	o.sweepPoints(s, grid(mults, runs))
 
 	s.Notes = append(s.Notes,
 		fmt.Sprintf("cores column = offered load (%% of calibrated saturation) at a fixed %d cores", cores))

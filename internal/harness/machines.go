@@ -71,7 +71,6 @@ func runMachines(o Options) *Series {
 		}
 		so := o
 		so.Machine = m
-		so.Cores = nil // each profile sweeps its own machine-sized grid
 		var runs []variantRun
 		for _, w := range workloads {
 			w := w
@@ -83,7 +82,8 @@ func runMachines(o Options) *Series {
 				}})
 			}
 		}
-		so.runGrid(s, runs)
+		// Each profile sweeps its own machine-sized grid, whatever o.Cores.
+		so.sweepPoints(s, grid(standardCores(m, o.Quick), runs))
 	}
 
 	s.Notes = append(s.Notes, fmt.Sprintf(

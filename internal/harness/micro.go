@@ -165,14 +165,17 @@ func runDMAAblation(o Options) *Series {
 		// NIC envelope caps the achievable gain.
 		return apps.RunMemcached(k, opts)
 	}
-	labels := []string{"node-0 pool", "local pools"}
-	pts := make([]Point, 2)
-	o.parallelMap(2, func(i int, wo Options) {
-		pts[i] = wo.cachedPoint("dma", labels[i], max, func() Point {
-			return point(run(i == 1, wo), labels[i], 1)
-		})
-	})
-	s.Points = append(s.Points, pts...)
+	var cells []cell
+	for i, label := range []string{"node-0 pool", "local pools"} {
+		cells = append(cells, cell{label, max, func(co Options) Point {
+			return point(run(i == 1, co), label, 1)
+		}})
+	}
+	pts, errs := o.sweepPoints(s, cells)
+	if why := rowSkipReason(errs); why != "" {
+		s.Notes = append(s.Notes, fmt.Sprintf("local-node allocation at %d cores: skipped: %s", max, why))
+		return s
+	}
 	s.Notes = append(s.Notes, fmt.Sprintf(
 		"local-node allocation improves %d-core throughput by %.0f%% (paper: ~30%%)",
 		max, (pts[1].PerCore/pts[0].PerCore-1)*100))
@@ -184,11 +187,11 @@ func runDMAAblation(o Options) *Series {
 // showing the device, not the kernel, caps delivery.
 func runNICEnvelope(o Options) *Series {
 	s := &Series{ID: "nic-env", Title: "NIC packet envelope (§5.4)", Unit: "Mpkt/s total"}
-	o.runGrid(s, []variantRun{{"UDP echo", func(c int, o Options) Point {
+	o.sweepPoints(s, grid(o.cores(), []variantRun{{"UDP echo", func(c int, o Options) Point {
 		r := runMemcached(kernel.PK(), c, o)
 		pps := r.Throughput() * 2 / 1e6 // one rx + one tx per request
 		return Point{Cores: c, Variant: "UDP echo", PerCore: pps}
-	}}})
+	}}}))
 	s.Notes = append(s.Notes,
 		"PerCore column holds aggregate Mpkt/s; the plateau past 16 cores is the card envelope")
 	return s
@@ -225,14 +228,14 @@ func runScountSweep(o Options) *Series {
 			SysMicros:  microsFor(m, e.TotalSysCycles()) / float64(pairs*cores),
 		}
 	}
-	o.runGrid(s, []variantRun{
+	o.sweepPoints(s, grid(o.cores(), []variantRun{
 		{"Shared atomic", func(c int, o Options) Point {
 			return runPoint("Shared atomic", c, o, func(md *mem.Model) scount.Counter { return scount.NewShared(md, 0) })
 		}},
 		{"Sloppy", func(c int, o Options) Point {
 			return runPoint("Sloppy", c, o, func(md *mem.Model) scount.Counter { return scount.NewSloppy(md, 0) })
 		}},
-	})
+	}))
 	s.Notes = append(s.Notes,
 		"Shared collapses as every pair serializes on one line; Sloppy stays flat (core-local spares)")
 	return s
@@ -274,22 +277,26 @@ func runAblations(o Options) *Series {
 		}
 	}
 
-	// Each fix needs a baseline and a fix-enabled measurement; all 2N runs
-	// are independent simulations, so fan them out (each one cacheable).
-	pts := make([]Point, 2*len(kernel.Fixes))
-	o.parallelMap(len(pts), func(i int, wo Options) {
-		f := kernel.Fixes[i/2]
-		label := f.Name + "/stock"
-		cfg := kernel.Stock()
-		if i%2 == 1 {
-			label = f.Name + "/fix"
-			f.Enable(&cfg)
+	// Each fix needs a baseline and a fix-enabled measurement.
+	var cells []cell
+	for _, f := range kernel.Fixes {
+		fixed := kernel.Stock()
+		f.Enable(&fixed)
+		for _, v := range []struct {
+			label string
+			cfg   kernel.Config
+		}{{f.Name + "/stock", kernel.Stock()}, {f.Name + "/fix", fixed}} {
+			cells = append(cells, cell{v.label, max, func(co Options) Point {
+				return Point{Cores: max, Variant: v.label, PerCore: runFor(f.Name, v.cfg, co)}
+			}})
 		}
-		pts[i] = wo.cachedPoint("ablate", label, max, func() Point {
-			return Point{Cores: max, Variant: label, PerCore: runFor(f.Name, cfg, wo)}
-		})
-	})
+	}
+	pts, errs := o.sweep(s, cells)
 	for i, f := range kernel.Fixes {
+		if why := rowSkipReason(errs[i*2 : i*2+2]); why != "" {
+			s.Notes = append(s.Notes, fmt.Sprintf("%-22s alone: skipped: %s", f.Name, why))
+			continue
+		}
 		s.Notes = append(s.Notes, fmt.Sprintf("%-22s alone: %+6.1f%%  (apps: %s)",
 			f.Name, (pts[i*2+1].PerCore/pts[i*2].PerCore-1)*100, f.Apps[0]))
 	}

@@ -18,10 +18,11 @@ import (
 // Ownership is a pure function of the point's identity (experiment ID plus
 // full cache key), not of enumeration order, so any process — or CI shard
 // on a different machine — partitions the grid identically without
-// coordination. Fan-out experiments without a per-point failure channel
-// (dma, ablate) run in every shard; the merge-on-save cache makes the
-// duplicate stores harmless because every process computes identical
-// values.
+// coordination. Every experiment that produces Points computes them
+// through sweep, so every one of them splits. The five probe experiments
+// (fig1, fig2, tbl-hw, profile, sloppy-threshold) produce text read from
+// simulator internals rather than Points; they are cheap, uncached, and
+// simply run whole in whichever process prints them.
 
 // errShardSkipped marks a sweep point owned by another shard: the point is
 // omitted from both Series.Points and Series.Failed.
@@ -43,16 +44,22 @@ func ValidateShards(shards, index int) error {
 	return nil
 }
 
-// rowSkipReason explains why a derived row (fig3's ratio, fig12's
-// retention) cannot be assembled from its per-measurement errors: a benign
-// shard split, or a real failure listed in Series.Failed.
+// rowSkipReason explains why a derived row (fig3's ratio, fig12's and
+// degrade's retention, dma's and ablate's gain) cannot be assembled from
+// its measurements' errors: a real failure listed in Series.Failed, or a
+// benign shard split. It returns "" when every measurement succeeded.
 func rowSkipReason(errs []error) string {
+	why := ""
 	for _, err := range errs {
-		if err != nil && !errors.Is(err, errShardSkipped) {
+		switch {
+		case err == nil:
+		case !errors.Is(err, errShardSkipped):
 			return "a measurement failed (see failed points)"
+		default:
+			why = "a measurement is owned by another shard (the merge pass assembles this row)"
 		}
 	}
-	return "a measurement is owned by another shard (the merge pass assembles this row)"
+	return why
 }
 
 // shardOwns reports whether this Options' shard owns the sweep point

@@ -46,7 +46,8 @@ func TestShardPartitionCoversGridExactlyOnce(t *testing.T) {
 // TestShardedSweepBitIdentical is the coordinator's acceptance guarantee:
 // shard workers sharing one cache directory plus a merge pass produce a
 // Series bit-for-bit identical to a single-process run — and the merge
-// pass simulates nothing (every lookup hits).
+// pass simulates nothing (every lookup hits). The shards' misses must sum
+// to the single-process run's, so no point is computed by two shards.
 func TestShardedSweepBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		exp    string
@@ -55,23 +56,43 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 		{"fig5", 2},
 		{"fig10", 3}, // variant-rich grid, including the striped RR curve
 		{"degrade", 2},
+		{"ablate", 2},     // notes only, rows derived from pairs of points
+		{"spool-dirs", 2}, // a fixed-cores parameter sweep
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%s-%dshards", tc.exp, tc.shards), func(t *testing.T) {
 			t.Parallel()
 			e := ByID(tc.exp)
-			single := e.Run(Options{Quick: true, Seed: 7})
+			sc, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			single := e.Run(Options{Quick: true, Seed: 7, Cache: sc})
+			if sc.Misses() == 0 {
+				t.Fatalf("%s never consulted the cache, so sharding cannot split it", tc.exp)
+			}
 
+			// Every shard opens the shared directory before any of them
+			// saves, as concurrent shard processes do, so a point two
+			// shards both compute is a miss in each.
 			dir := t.TempDir()
-			for idx := 0; idx < tc.shards; idx++ {
-				c, err := OpenCache(dir)
-				if err != nil {
+			caches := make([]*Cache, tc.shards)
+			for idx := range caches {
+				if caches[idx], err = OpenCache(dir); err != nil {
 					t.Fatal(err)
 				}
+			}
+			var shardMisses int64
+			for idx, c := range caches {
 				e.Run(Options{Quick: true, Seed: 7, Cache: c, Shards: tc.shards, ShardIndex: idx})
+				shardMisses += c.Misses()
 				if err := c.Save(); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if shardMisses != sc.Misses() {
+				t.Errorf("shards missed %d lookups in total, single process %d; every point must be computed by exactly one shard",
+					shardMisses, sc.Misses())
 			}
 
 			mc, err := OpenCache(dir)

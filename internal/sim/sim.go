@@ -325,13 +325,16 @@ func (p *Proc) runBody() {
 
 // retire accounts a finished proc's busy time to its core, drops
 // liveness, and recycles the slot on pooled engines, so a Spawn later in
-// this very run can already reuse it.
+// this very run can already reuse it. The finished body is dropped: it
+// typically captures the point's whole kernel and memory model, which a
+// parked slot would otherwise keep reachable until its next Spawn.
 func (e *Engine) retire(p *Proc) {
 	p.state = stateDone
 	e.live--
 	e.userByCore[p.core] += p.user
 	e.sysByCore[p.core] += p.sys
 	p.user, p.sys = 0, 0
+	p.body = nil
 	e.recycle(p)
 }
 
