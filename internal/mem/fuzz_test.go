@@ -131,3 +131,127 @@ func TestLineSetMerge(t *testing.T) {
 		t.Errorf("merging empty set changed Len to %d", a.Len())
 	}
 }
+
+// maxScriptOps caps the operations one FuzzAllocFree input runs.
+const maxScriptOps = 512
+
+// FuzzAllocFree fuzzes line recycling against a model that never frees.
+// The input decodes into a script of Alloc, Free, Read, Write, Atomic,
+// AccessSet and DMAWrite operations on live handles, run on both models
+// side by side; the recycling model hands freed slots back out, the
+// reference model allocates a new line every time. Since a reused line
+// must start exactly like a fresh one, every returned cost and the
+// Reads, Writes and RemoteTransfers counters must agree.
+//
+// Script encoding: the first byte picks the machine (even: the paper's
+// 48-core host, odd: big192, whose wide sharer words a stale slot would
+// leak). Then each operation is an opcode byte followed by its argument
+// bytes; a script ends when the bytes run out.
+func FuzzAllocFree(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 3, 0, 5, 1, 0, 0, 2, 3, 0, 7})
+	f.Add([]byte{1, 0, 0, 0, 7, 2, 100, 0, 9, 1, 0, 0, 3, 3, 191, 0, 4})
+
+	big, ok := topo.Lookup("big192")
+	if !ok {
+		f.Fatal("big192 profile not registered")
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		m := topo.New(topo.MaxCores)
+		if script[0]%2 == 1 {
+			m = big
+		}
+		rec, ref := NewModel(m), NewModel(m)
+		var liveRec, liveRef []Line
+
+		pos := 1
+		next := func() int {
+			if pos >= len(script) {
+				return -1
+			}
+			pos++
+			return int(script[pos-1])
+		}
+		// subset decodes a length byte and that many handle picks.
+		subset := func() (a, b []Line, ok bool) {
+			n := next()
+			for i := 0; i < n%8; i++ {
+				k := next()
+				if k < 0 {
+					return nil, nil, false
+				}
+				a = append(a, liveRec[k%len(liveRec)])
+				b = append(b, liveRef[k%len(liveRef)])
+			}
+			return a, b, n >= 0
+		}
+		var now int64
+		for step := 0; step < maxScriptOps; step++ {
+			opcode := next()
+			if opcode < 0 {
+				break
+			}
+			now += int64(opcode) * 37
+			if len(liveRec) == 0 || opcode%7 == 0 {
+				home := next()
+				if home < 0 {
+					break
+				}
+				liveRec = append(liveRec, rec.Alloc(home%m.Chips))
+				liveRef = append(liveRef, ref.Alloc(home%m.Chips))
+				continue
+			}
+			switch opcode % 7 {
+			case 1: // Free
+				k := next()
+				if k < 0 {
+					break
+				}
+				k %= len(liveRec)
+				rec.Free(liveRec[k])
+				liveRec = append(liveRec[:k], liveRec[k+1:]...)
+				liveRef = append(liveRef[:k], liveRef[k+1:]...)
+			case 2, 3, 4: // Read, Write, Atomic
+				c, k := next(), next()
+				if k < 0 {
+					break
+				}
+				c %= m.NCores
+				k %= len(liveRec)
+				access := [...]func(*Model, int, Line, int64) int64{(*Model).Read, (*Model).Write, (*Model).Atomic}[opcode%7-2]
+				if a, b := access(rec, c, liveRec[k], now), access(ref, c, liveRef[k], now); a != b {
+					t.Fatalf("step %d: op %d by core %d costs %d recycled, %d reference", step, opcode%7, c, a, b)
+				}
+			case 5: // AccessSet
+				c, op := next(), next()
+				a, b, ok := subset()
+				if !ok || c < 0 || op < 0 {
+					break
+				}
+				c %= m.NCores
+				if x, y := rec.AccessSet(c, a, Op(op%3), now), ref.AccessSet(c, b, Op(op%3), now); x != y {
+					t.Fatalf("step %d: AccessSet op %d by core %d costs %d recycled, %d reference", step, op%3, c, x, y)
+				}
+			case 6: // DMAWrite
+				a, b, ok := subset()
+				if !ok {
+					break
+				}
+				rec.DMAWrite(a)
+				ref.DMAWrite(b)
+			}
+		}
+		if rec.Reads() != ref.Reads() || rec.Writes() != ref.Writes() || rec.RemoteTransfers() != ref.RemoteTransfers() {
+			t.Errorf("counters diverged: reads %d/%d writes %d/%d remote %d/%d",
+				rec.Reads(), ref.Reads(), rec.Writes(), ref.Writes(), rec.RemoteTransfers(), ref.RemoteTransfers())
+		}
+		if rec.LiveLines() != len(liveRec) {
+			t.Errorf("LiveLines = %d, want the %d live handles", rec.LiveLines(), len(liveRec))
+		}
+		if rec.NumLines() > ref.NumLines() {
+			t.Errorf("recycling directory holds %d slots, more than the %d the reference allocated", rec.NumLines(), ref.NumLines())
+		}
+	})
+}

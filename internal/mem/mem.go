@@ -12,6 +12,17 @@
 // last, and returns the cycle cost of each access using the latencies from
 // internal/topo. It is a cost model, not a functional memory: lines carry no
 // data, only coherence state.
+//
+// Lines have a lifetime. Each object frees exactly the lines it allocated
+// when the kernel would free the object: a process's sampled page-table
+// lines at exit (internal/proc), a socket inode's lines at release, and an
+// unlinked dentry's and its inode's lines once no reference or path walk
+// holds it (internal/vfs). Alloc reuses freed slots before it grows the
+// directory, so a model stays at its live size however many messages a
+// workload pushes through it. A reused line starts cold, exactly like a
+// fresh one: no cached copies, clean, unlabelled. Real slab reuse can hand
+// back memory that is still warm in some cache; modelling that would
+// change every figure, and is deliberately not done.
 package mem
 
 import (
@@ -37,6 +48,7 @@ type state struct {
 	owner   int16    // core that last wrote, -1 if never written
 	home    int8     // chip whose DRAM homes this line
 	dirty   bool     // true if owner's copy is modified
+	freed   bool     // true while the slot sits on the free list
 
 	// busyUntil is when the line's current ownership transfer completes.
 	// The coherence protocol serializes modifications of one line (§4.1:
@@ -47,8 +59,10 @@ type state struct {
 	busyUntil int64
 }
 
-// initialLineCap pre-sizes the directory and its stats mirror so typical
-// models never regrow them access by access.
+// initialLineCap pre-sizes the directory and its stats mirror. Larger
+// models regrow them, but only until the workload's live line count
+// peaks, since freed slots are reused first: a full 48-core fig4 point
+// peaks at 18,293 lines (PK kernel; 3,744 stock).
 const initialLineCap = 1024
 
 // The sharer-set helpers below take the accessor's word index w and its
@@ -140,6 +154,7 @@ type Model struct {
 	mach  *topo.Machine
 	lines []state
 	stats []*prof.LineStats // per-line profile records, in lockstep with lines
+	free  []Line            // freed slots, reused last-in first-out by Alloc
 
 	// chipOf caches the core->chip mapping so the hot paths avoid the
 	// placement-policy branch in topo.Machine.Chip.
@@ -185,10 +200,21 @@ func (md *Model) Label(l Line, name string) {
 // Machine returns the machine this model simulates.
 func (md *Model) Machine() *topo.Machine { return md.mach }
 
-// Alloc allocates a fresh line homed in the DRAM of the given chip.
+// Alloc allocates a fresh line homed in the DRAM of the given chip. It
+// reuses the most recently freed slot if there is one, reset to exactly a
+// fresh line's state: cold in every cache, clean, unlabelled, not busy.
 func (md *Model) Alloc(homeChip int) Line {
 	if homeChip < 0 || homeChip >= md.mach.Chips {
 		panic(fmt.Sprintf("mem: home chip %d out of range", homeChip))
+	}
+	if n := len(md.free); n > 0 {
+		l := md.free[n-1]
+		md.free = md.free[:n-1]
+		s := &md.lines[l]
+		clear(s.wide)
+		*s = state{wide: s.wide, owner: -1, home: int8(homeChip)}
+		md.stats[l] = nil
+		return l
 	}
 	s := state{owner: -1, home: int8(homeChip)}
 	if md.words > 0 {
@@ -197,6 +223,16 @@ func (md *Model) Alloc(homeChip int) Line {
 	md.lines = append(md.lines, s)
 	md.stats = append(md.stats, nil)
 	return Line(len(md.lines) - 1)
+}
+
+// Free returns lines to the directory for reuse by later Allocs. The
+// caller must hold no other handle to them: any access to a freed line,
+// or a second Free, panics until Alloc hands the slot out again.
+func (md *Model) Free(lines ...Line) {
+	for _, l := range lines {
+		md.st(l).freed = true
+		md.free = append(md.free, l)
+	}
 }
 
 // AllocLocal allocates a line homed on the chip of the given core, the
@@ -218,7 +254,11 @@ func (md *Model) st(l Line) *state {
 	if l < 0 || int(l) >= len(md.lines) {
 		panic(fmt.Sprintf("mem: access to unallocated line %d", l))
 	}
-	return &md.lines[l]
+	s := &md.lines[l]
+	if s.freed {
+		panic(fmt.Sprintf("mem: access to freed line %d", l))
+	}
+	return s
 }
 
 // Read returns the cycle cost for core c reading line l at virtual time
@@ -487,5 +527,9 @@ func (md *Model) Writes() int64 { return md.writes }
 // RemoteTransfers returns how many accesses crossed a chip boundary.
 func (md *Model) RemoteTransfers() int64 { return md.remoteTransfers }
 
-// NumLines returns how many lines have been allocated.
+// NumLines returns the directory's size: the most lines that were ever
+// live at once, since freed slots are reused before the directory grows.
 func (md *Model) NumLines() int { return len(md.lines) }
+
+// LiveLines returns how many lines are allocated and not freed.
+func (md *Model) LiveLines() int { return len(md.lines) - len(md.free) }

@@ -8,6 +8,8 @@
 package proc
 
 import (
+	"fmt"
+
 	"repro/internal/mem"
 	"repro/internal/mm"
 	"repro/internal/sim"
@@ -58,6 +60,8 @@ type Process struct {
 	ptLines []mem.Line
 	// creatorCore is the core fork ran on.
 	creatorCore int
+	// exited is set by Exit, which frees ptLines.
+	exited bool
 }
 
 // NewInitProcess makes a root process at setup time (no cost).
@@ -90,6 +94,9 @@ func (t *Table) Fork(p *sim.Proc, parent *Process, childAS *mm.AddressSpace) *Pr
 // parent initialized; cheap if the child runs on the parent's core, a
 // string of remote fetches otherwise.
 func (t *Table) ChildStart(p *sim.Proc, child *Process) {
+	if child.exited {
+		panic(fmt.Sprintf("proc: ChildStart of exited process %d", child.PID))
+	}
 	p.Advance(t.md.AccessSet(p.Core(), child.ptLines, mem.OpRead, p.Now()))
 }
 
@@ -101,10 +108,17 @@ func (t *Table) Exec(p *sim.Proc) {
 
 // Exit tears the process down: page-struct releases and mapping frees,
 // writing the sampled page-table lines (remote if the process migrated).
+// Once those charges are made the lines go back to the directory.
 func (t *Table) Exit(p *sim.Proc, proc *Process) {
+	if proc.exited {
+		panic(fmt.Sprintf("proc: exit of exited process %d", proc.PID))
+	}
+	proc.exited = true
 	t.exits++
 	p.Advance(exitWork + t.md.AccessSet(p.Core(), proc.ptLines, mem.OpWrite, p.Now()))
 	t.ps.TouchN(p, t.md, proc.PID*7, pageStructTouches)
+	t.md.Free(proc.ptLines...)
+	proc.ptLines = nil
 }
 
 // Forks returns the total fork count.

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -145,5 +146,55 @@ func TestExecCounts(t *testing.T) {
 	e.Run()
 	if tbl.Execs() != 2 {
 		t.Errorf("execs = %d, want 2", tbl.Execs())
+	}
+}
+
+// TestExitFreesPageTableLines checks that Exit returns exactly the lines
+// Fork allocated, and that a second Fork reuses them instead of growing
+// the directory.
+func TestExitFreesPageTableLines(t *testing.T) {
+	e, md, tbl := setup(4, true)
+	e.Spawn(0, "parent", 0, func(p *sim.Proc) {
+		parent := tbl.NewInitProcess(nil)
+		before, size := md.LiveLines(), md.NumLines()
+		child := tbl.Fork(p, parent, nil)
+		if got := md.LiveLines() - before; got != ptSampleLines {
+			t.Errorf("Fork allocated %d lines, want %d", got, ptSampleLines)
+		}
+		tbl.ChildStart(p, child)
+		tbl.Exit(p, child)
+		if md.LiveLines() != before {
+			t.Errorf("Exit left %d lines live, want %d", md.LiveLines(), before)
+		}
+		tbl.Exit(p, tbl.Fork(p, parent, nil))
+		if md.NumLines() != size+ptSampleLines {
+			t.Errorf("directory grew to %d lines over two fork/exit cycles, want %d", md.NumLines(), size+ptSampleLines)
+		}
+	})
+	e.Run()
+}
+
+// TestUseAfterExitPanics: an exited process's page-table lines are gone,
+// so exiting it again or starting it as a child is a model bug.
+func TestUseAfterExitPanics(t *testing.T) {
+	for _, tc := range []struct {
+		use  func(*Table, *sim.Proc, *Process)
+		want string
+	}{
+		{(*Table).Exit, "proc: exit of exited process"},
+		{(*Table).ChildStart, "proc: ChildStart of exited process"},
+	} {
+		e, _, tbl := setup(2, true)
+		e.Spawn(0, "p", 0, func(p *sim.Proc) {
+			child := tbl.Fork(p, tbl.NewInitProcess(nil), nil)
+			tbl.Exit(p, child)
+			defer func() {
+				if want, r := fmt.Sprintf("%s %d", tc.want, child.PID), recover(); fmt.Sprint(r) != want {
+					t.Errorf("panic = %v, want %q", r, want)
+				}
+			}()
+			tc.use(tbl, p, child)
+		})
+		e.Run()
 	}
 }

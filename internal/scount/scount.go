@@ -123,6 +123,16 @@ func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
 	return s
 }
 
+// Free returns the central and per-core lines to the directory. No
+// reference may be in use, and the counter must be unused afterwards.
+func (s *Sloppy) Free() {
+	if s.inUse != 0 {
+		panic(fmt.Sprintf("scount: free of sloppy counter with %d references in use", s.inUse))
+	}
+	s.md.Free(s.centralLine)
+	s.md.Free(s.spareLines...)
+}
+
 // Acquire takes v references: from the local spare pool when possible,
 // otherwise from the central counter.
 func (s *Sloppy) Acquire(p *sim.Proc, v int64) {

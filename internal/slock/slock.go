@@ -74,6 +74,9 @@ type SpinLock struct {
 
 	md   *mem.Model
 	line mem.Line
+	// ownsLine is false for a lock embedded in another structure's line
+	// (NewSpinLockAt); Free leaves that line to its owner.
+	ownsLine bool
 
 	held      bool
 	waiters   []*sim.Proc
@@ -100,7 +103,7 @@ func (l *SpinLock) accountWait(p *sim.Proc, cycles int64) {
 
 // NewSpinLock allocates a spin lock whose word is homed on the given chip.
 func NewSpinLock(md *mem.Model, name string, homeChip int) *SpinLock {
-	return &SpinLock{Name: name, md: md, line: md.Alloc(homeChip), stats: md.Prof.Lock(name)}
+	return &SpinLock{Name: name, md: md, line: md.Alloc(homeChip), ownsLine: true, stats: md.Prof.Lock(name)}
 }
 
 // NewSpinLockAt creates a spin lock whose word lives on an existing cache
@@ -112,6 +115,17 @@ func NewSpinLockAt(md *mem.Model, name string, line mem.Line) *SpinLock {
 
 // Line returns the cache line holding the lock word.
 func (l *SpinLock) Line() mem.Line { return l.line }
+
+// Free returns the lock word's line to the directory, if the lock owns
+// it. The lock must be free and unused afterwards.
+func (l *SpinLock) Free() {
+	if l.held {
+		panic("slock: free of held spin lock " + l.Name)
+	}
+	if l.ownsLine {
+		l.md.Free(l.line)
+	}
+}
 
 // Acquire takes the lock, blocking the proc while it is held elsewhere.
 // The acquiring core always pays the coherence cost of the lock word; a
@@ -205,6 +219,15 @@ func (m *Mutex) adv(p *sim.Proc, cycles int64) {
 // NewMutex allocates a mutex homed on the given chip.
 func NewMutex(md *mem.Model, name string, homeChip int) *Mutex {
 	return &Mutex{Name: name, md: md, line: md.Alloc(homeChip), stats: md.Prof.Lock(name)}
+}
+
+// Free returns the mutex's line to the directory. The mutex must be free
+// and unused afterwards.
+func (m *Mutex) Free() {
+	if m.held {
+		panic("slock: free of held mutex " + m.Name)
+	}
+	m.md.Free(m.line)
 }
 
 // Acquire takes the mutex. The adaptive behavior (paper footnote 1: "a
@@ -423,6 +446,15 @@ type Gen struct {
 // NewGen allocates a generation counter homed on the given chip.
 func NewGen(md *mem.Model, homeChip int) *Gen {
 	return &Gen{md: md, line: md.Alloc(homeChip), gen: 1}
+}
+
+// Free returns the counter's line to the directory. The counter must not
+// be mid-write and must be unused afterwards.
+func (g *Gen) Free() {
+	if g.modifying {
+		panic("slock: free of Gen during a write")
+	}
+	g.md.Free(g.line)
 }
 
 // BeginWrite marks a modification in progress: the generation is set to 0

@@ -24,6 +24,12 @@ type Dentry struct {
 	lock       *slock.SpinLock // d_lock
 	gen        *slock.Gen      // PK generation counter, nil in stock
 	ref        scount.Counter  // d_count
+
+	// pins counts Walks between looking d up in its parent's children
+	// and holding a reference to it (model bookkeeping, cost-free).
+	pins     int
+	unlinked bool // removed from its parent by a completed Unlink
+	freed    bool // lines returned to the directory
 }
 
 // Inode returns the dentry's inode.
@@ -40,6 +46,22 @@ func (d *Dentry) Ref() scount.Counter { return d.ref }
 
 // Lock exposes the per-dentry spin lock (tests and statistics).
 func (d *Dentry) Lock() *slock.SpinLock { return d.lock }
+
+// free returns the lines of d and of its inode to the directory. In the
+// stock layout the lock and the reference count live on fieldsLine and
+// own no line of their own.
+func (d *Dentry) free(md *mem.Model) {
+	d.freed = true
+	md.Free(d.fieldsLine)
+	d.lock.Free()
+	if s, ok := d.ref.(*scount.Sloppy); ok {
+		s.Free()
+	}
+	if d.gen != nil {
+		d.gen.Free()
+	}
+	d.inode.free(md)
+}
 
 // Inode models the fields of a tmpfs inode the workloads touch.
 type Inode struct {
@@ -58,3 +80,9 @@ func (i *Inode) IsDir() bool { return i.isDir }
 
 // Mutex exposes the inode mutex (tests and statistics).
 func (i *Inode) Mutex() *slock.Mutex { return i.mu }
+
+// free returns the inode's lines to the directory.
+func (i *Inode) free(md *mem.Model) {
+	md.Free(i.sizeLine)
+	i.mu.Free()
+}

@@ -216,7 +216,8 @@ func splitDir(path string) (dir, name string) {
 // Walk resolves a path, charging mount-table access, per-component dcache
 // lookups (lock-free or locked compare), and reference counting. If
 // holdFinal is true the caller receives a reference to the final dentry and
-// must release it with Put. Walk panics on a missing path: workloads
+// must release it with Put; otherwise the returned dentry may already be
+// freed if it was unlinked. Walk panics on a missing path: workloads
 // resolve only paths they created, so ENOENT is a model bug.
 func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 	p.Advance(syscallEntry)
@@ -228,6 +229,10 @@ func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 		if !ok {
 			panic("vfs: walk of missing path " + path)
 		}
+		// The mount-table and RCU steps below can yield before the
+		// reference is taken; the pin keeps a concurrent Unlink from
+		// recycling child's lines meanwhile.
+		child.pins++
 		// follow_mount: every component crossing consults the mount
 		// table and touches the vfsmount reference (this is why Exim
 		// "causes the kernel to access the vfsmount table dozens of
@@ -235,11 +240,12 @@ func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 		fs.mounts.Get(p)
 		fs.mounts.Put(p)
 		fs.dgetCompare(p, child)
-		d.ref.Release(p, 1)
+		child.pins--
+		fs.Put(p, d)
 		d = child
 	}
 	if !holdFinal {
-		d.ref.Release(p, 1)
+		fs.Put(p, d)
 	}
 	fs.mounts.Put(p)
 	return d
@@ -270,9 +276,23 @@ func (fs *FS) dgetCompare(p *sim.Proc, d *Dentry) {
 	fs.rcu.ReadUnlock(p)
 }
 
-// Put releases a dentry reference obtained from Walk/Open/Create.
+// Put releases a dentry reference obtained from Walk/Open/Create. Every
+// dentry reference release goes through it, so the last holder of an
+// unlinked dentry frees its lines.
 func (fs *FS) Put(p *sim.Proc, d *Dentry) {
 	d.ref.Release(p, 1)
+	fs.reap(d)
+}
+
+// reap frees an unlinked dentry's and its inode's lines once no reference
+// and no Walk holds it. Nothing can reach the dentry after that: it is
+// gone from its parent's children, and a Walk that found it there first
+// holds a pin until it holds a reference. (The kernel gets the same
+// guarantee from the RCU-deferred free that Unlink charges.)
+func (fs *FS) reap(d *Dentry) {
+	if d.unlinked && !d.freed && d.pins == 0 && d.ref.InUse() == 0 {
+		d.free(fs.md)
+	}
 }
 
 // ---- File operations ----
@@ -393,6 +413,10 @@ func (fs *FS) Unlink(p *sim.Proc, dirPath, name string) {
 	p.Advance(unlinkWork)
 	dir.inode.mu.Release(p)
 	fs.Put(p, dir)
+	// Only now, with the teardown that touches d charged, may d's last
+	// reference holder free it; if there is none, it goes here.
+	d.unlinked = true
+	fs.reap(d)
 }
 
 // chargeInodeListLock models the global inode_lock: the stock kernel takes
@@ -435,10 +459,14 @@ func (fs *FS) CreateAnon(p *sim.Proc) *AnonInode {
 	return &AnonInode{inode: fs.newInodeSetup(false, p.Chip())}
 }
 
-// ReleaseAnon frees a socket inode. PK defers and batches the list
-// removals, avoiding the global locks on this path too; we model that as
-// skipping the lock (the deferred work is off the critical path).
+// ReleaseAnon frees a socket inode and returns its lines to the
+// directory. PK defers and batches the list removals, avoiding the global
+// locks on this path too; we model that as skipping the lock (the deferred
+// work is off the critical path).
 func (fs *FS) ReleaseAnon(p *sim.Proc, a *AnonInode) {
+	if a.inode == nil {
+		panic("vfs: release of released anon inode")
+	}
 	if !fs.cfg.InodeListAvoidLock {
 		fs.chargeInodeListLock(p, true)
 	}
@@ -446,4 +474,6 @@ func (fs *FS) ReleaseAnon(p *sim.Proc, a *AnonInode) {
 		fs.chargeDcacheListLock(p, true)
 	}
 	p.Advance(unlinkWork / 2)
+	a.inode.free(fs.md)
+	a.inode = nil
 }
