@@ -157,7 +157,7 @@ func main() {
 	if *cores != "" {
 		cs, err := parseCores(*cores, prof.Cores)
 		if err != nil {
-			fatal(err)
+			fatalUsage(fmt.Sprintf("bad -cores: %v", err))
 		}
 		o.Cores = cs
 	}
@@ -339,9 +339,11 @@ func machineList() string {
 // parseCores accepts comma-separated core counts where each element is a
 // single value or a lo..hi range: "1,8,48", "1..48", "1,4..8,48". The
 // full-grid "1..48" form runs the paper's complete x-axis; maxCores is
-// the selected machine profile's core count.
+// the selected machine profile's core count. Each count may appear only
+// once: a sweep point is identified by its core count.
 func parseCores(s string, maxCores int) ([]int, error) {
 	var out []int
+	seen := map[int]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		lo, hi := part, part
@@ -360,6 +362,10 @@ func parseCores(s string, maxCores int) ([]int, error) {
 			return nil, fmt.Errorf("bad core range %q: %d > %d", part, a, b)
 		}
 		for n := a; n <= b; n++ {
+			if seen[n] {
+				return nil, fmt.Errorf("core count %d repeated in %q", n, s)
+			}
+			seen[n] = true
 			out = append(out, n)
 		}
 	}

@@ -78,6 +78,11 @@ func TestBadSpecsAreUsageErrors(t *testing.T) {
 			want: []string{"-shed", "fifo", "qlen=N", "delay=100us"},
 		},
 		{
+			name: "duplicate cores",
+			args: []string{"-experiment", "fig4", "-quick", "-cores", "8,1,8", "-csv"},
+			want: []string{"-cores", "core count 8 repeated"},
+		},
+		{
 			name: "shed qlen",
 			args: []string{"-experiment", "latload", "-shed", "qlen=0"},
 			want: []string{"-shed", "positive"},

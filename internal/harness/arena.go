@@ -109,12 +109,12 @@ func (a *engineArena) put(s *engineSlot) {
 	}
 }
 
-// newEngine returns the engine for one sweep point: the calling sweep
+// newEngine returns the engine for one sweep cell: the calling sweep
 // worker's pooled engine (reset to the machine and the run's seed), or a
-// fresh engine when o carries no slot — o.freshEngines, safeCachedPoint's
-// retry, and the probe experiments, which drive an engine outside sweep.
+// fresh engine under o.freshEngines (safeCachedPoint's retry). Only cell
+// bodies call it; outside a sweep there is no slot to draw from.
 func (o Options) newEngine(m *topo.Machine) *sim.Engine {
-	if o.freshEngines || o.slot == nil {
+	if o.freshEngines {
 		return sim.NewEngine(m, o.seed())
 	}
 	return o.slot.engine(o.slotGen, m, o.seed())

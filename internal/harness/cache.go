@@ -19,20 +19,37 @@ import (
 const cacheVersion = 2
 
 // cacheSchema fingerprints the cache's shape: the version, the section and
-// key formats, and every Point field name and type. It is the outer guard:
-// a cache file written under a different schema self-invalidates wholesale
-// on load, so refactors of Point can never resurface stale entries.
-// Cost-model retunes are NOT part of the schema — they invalidate per
-// experiment through the fingerprint stored in each section.
+// key formats, and Point's full type shape down through its nested types
+// (typeShape). It is the outer guard: a cache file written under a
+// different schema self-invalidates wholesale on load, so refactors of
+// Point or Metric can never resurface stale entries. Cost-model retunes
+// are NOT part of the schema — they invalidate per experiment through the
+// fingerprint stored in each section.
 var cacheSchema = func() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v%d|sections=experiment:fingerprint|key=variant|cores|seed|quick|placement|fault|arrival|link|shed|", cacheVersion)
-	t := reflect.TypeOf(Point{})
-	for i := 0; i < t.NumField(); i++ {
-		fmt.Fprintf(h, "%s %s|", t.Field(i).Name, t.Field(i).Type)
-	}
+	fmt.Fprintf(h, "v%d|sections=experiment:fingerprint|key=variant|cores|seed|quick|placement|fault|arrival|link|shed|%s",
+		cacheVersion, typeShape(reflect.TypeOf(Point{})))
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }()
+
+// typeShape renders t's structure: every struct field's name, tag and
+// shape, recursing into nested structs and slice elements (the kinds a
+// Point holds), so a change anywhere inside a cached value's type changes
+// the string.
+func typeShape(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		shape := "struct{"
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			shape += fmt.Sprintf("%s %s %q|", f.Name, typeShape(f.Type), f.Tag)
+		}
+		return shape + "}"
+	case reflect.Slice:
+		return "[]" + typeShape(t.Elem())
+	}
+	return t.String()
+}
 
 // cacheFileName is the single JSON file a cache directory holds.
 const cacheFileName = "points.json"
@@ -59,7 +76,8 @@ type expCounters struct {
 
 // Cache is a content-addressed store of sweep points, one section per
 // experiment, each section keyed by (variant, cores, seed, quick,
-// placement) and stamped with the experiment's cost-model fingerprint. A
+// placement, fault, arrival, link, shed) — see cacheKey — and stamped
+// with the experiment's cost-model fingerprint. A
 // warm cache lets a repeated full-grid run skip simulation entirely;
 // retuning one cost domain invalidates only the experiments that declare
 // it. The cache is safe for the concurrent sweep workers; Save merges
@@ -208,25 +226,35 @@ func (c *Cache) Save() error {
 	}
 	// A unique temp name per writer keeps concurrent saves from clobbering
 	// each other's in-flight files; OpenCache sweeps up any orphans.
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), cacheFileName+".tmp*")
+	if err := writeAtomic(c.path, "cache", data); err != nil {
+		return err
+	}
+	c.dirty = false
+	return nil
+}
+
+// writeAtomic writes data to path through a uniquely named temp file in
+// the same directory (path + ".tmp*") and a rename, so a reader never sees
+// a truncated file. what names the file in errors.
+func writeAtomic(path, what string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("harness: cache temp file: %w", err)
+		return fmt.Errorf("harness: %s temp file: %w", what, err)
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache write: %w", err)
+		return fmt.Errorf("harness: %s write: %w", what, err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache close: %w", err)
+		return fmt.Errorf("harness: %s close: %w", what, err)
 	}
 	os.Chmod(tmp.Name(), 0o644)
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache rename: %w", err)
+		return fmt.Errorf("harness: %s rename: %w", what, err)
 	}
-	c.dirty = false
 	return nil
 }
 
@@ -276,39 +304,19 @@ type CacheStats struct {
 	Experiments map[string]ExperimentCacheStats `json:"experiments"`
 }
 
-// WriteStatsJSON writes the cache's activity snapshot as indented JSON to
+// WriteStats writes the cache's activity snapshot as indented JSON to
 // path, creating missing parent directories and using the same unique
 // temp-file + atomic-rename discipline as Save, so an interrupted write
 // never leaves a truncated stats file behind.
-func (c *Cache) WriteStatsJSON(path string) error {
+func (c *Cache) WriteStats(path string) error {
 	data, err := json.MarshalIndent(c.Stats(), "", " ")
 	if err != nil {
 		return fmt.Errorf("harness: cache stats encode: %w", err)
 	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("harness: cache stats dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("harness: cache stats temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache stats write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache stats close: %w", err)
-	}
-	os.Chmod(tmp.Name(), 0o644)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache stats rename: %w", err)
-	}
-	return nil
+	return writeAtomic(path, "cache stats", append(data, '\n'))
 }
 
 // Stats returns a snapshot of the cache's activity since it was opened.

@@ -12,12 +12,11 @@ import (
 	"testing"
 )
 
-// probeExperiments are the experiments that never consult the cache:
-// their output is text read from simulator internals (a latency probe, a
-// counter trace, a contention profile), not Points, so there is nothing
-// for sweep to memoize. Every other experiment computes its Points
-// through sweep.
-var probeExperiments = []string{"fig1", "fig2", "profile", "sloppy-threshold", "tbl-hw"}
+// probeExperiments are the experiments that never consult the cache.
+// Only fig1 is one: it prints the fix table and simulates nothing, and its
+// text is not fingerprinted, so caching it could serve stale text. Every
+// other experiment runs its simulations as sweep cells.
+var probeExperiments = []string{"fig1"}
 
 // cachingExperiments returns the section IDs of every registered
 // experiment that actually consults the cache (produced at least one
@@ -416,10 +415,10 @@ func TestWriteStatsJSONCreatesParentDirs(t *testing.T) {
 	c.store("exp", "fp", "k", Point{Cores: 1})
 	c.lookup("exp", "fp", "k")
 
-	// The stats path's parent does not exist yet; WriteStatsJSON must
+	// The stats path's parent does not exist yet; WriteStats must
 	// create it rather than failing like a plain os.WriteFile would.
 	path := filepath.Join(dir, "artifacts", "nested", "stats.json")
-	if err := c.WriteStatsJSON(path); err != nil {
+	if err := c.WriteStats(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -439,5 +438,38 @@ func TestWriteStatsJSONCreatesParentDirs(t *testing.T) {
 	// No temp files left behind: the write renamed into place.
 	if orphans, _ := filepath.Glob(path + ".tmp*"); len(orphans) != 0 {
 		t.Errorf("orphan temp files left: %v", orphans)
+	}
+}
+
+// TestTypeShapeCoversNestedTypes: the cache schema hashes Point's shape
+// through its nested types, so changing the fields of a type Point only
+// reaches through a slice (as it reaches Metric) changes the schema, while
+// renaming types of identical shape does not.
+func TestTypeShapeCoversNestedTypes(t *testing.T) {
+	type metricA struct {
+		Name  string
+		Value float64
+	}
+	type metricB struct {
+		Name  string
+		Value float64
+		Unit  string
+	}
+	type metricC struct {
+		Name  string
+		Value float64
+	}
+	type pointA struct{ Metrics []metricA }
+	type pointB struct{ Metrics []metricB }
+	type pointC struct{ Metrics []metricC }
+	a, b, c := typeShape(reflect.TypeOf(pointA{})), typeShape(reflect.TypeOf(pointB{})), typeShape(reflect.TypeOf(pointC{}))
+	if a == b {
+		t.Errorf("adding a field to a nested type left the shape unchanged: %s", a)
+	}
+	if a != c {
+		t.Errorf("identically shaped types render differently:\n%s\n%s", a, c)
+	}
+	if got := typeShape(reflect.TypeOf(Point{})); !strings.Contains(got, "Metrics []struct{Name string") {
+		t.Errorf("Point's shape does not reach into Metric: %s", got)
 	}
 }

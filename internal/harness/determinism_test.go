@@ -12,7 +12,7 @@ import (
 // seed must produce bit-identical Series, run twice in serial mode, twice
 // in parallel mode, and across the two modes.
 func TestSweepDeterminism(t *testing.T) {
-	for _, id := range []string{"scount", "fig5", "dram", "ht", "latload"} {
+	for _, id := range []string{"scount", "fig5", "dram", "ht", "latload", "profile", "sloppy-threshold"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -34,7 +34,12 @@ func TestSweepDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(s1, p1) {
 				t.Errorf("%s: serial and parallel sweeps differ:\nserial:   %+v\nparallel: %+v", id, s1, p1)
 			}
-			if len(s1.Points) == 0 {
+			switch {
+			case id == "profile": // its cells render notes, not points
+				if len(s1.Notes) == 0 || len(s1.Failed) > 0 {
+					t.Errorf("%s: sweep produced %d notes, failed %v", id, len(s1.Notes), s1.Failed)
+				}
+			case len(s1.Points) == 0:
 				t.Errorf("%s: sweep produced no points", id)
 			}
 		})

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/netsim"
+	"repro/internal/prof"
 	"repro/internal/scount"
 	"repro/internal/sim"
 )
@@ -123,22 +125,68 @@ func runProfile(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "profile",
 		Title: fmt.Sprintf("Stock-kernel contention profile at %d cores", max)}
-
-	kExim := o.newKernel(o.topo(max), kernel.Stock())
-	eximOpts := apps.DefaultEximOpts()
-	eximOpts.MessagesPerCore = scale(eximOpts.MessagesPerCore, o.Quick)
-	apps.RunExim(kExim, eximOpts)
-	s.Notes = append(s.Notes, fmt.Sprintf("== Exim on stock, %d cores ==", max))
-	s.Notes = append(s.Notes, kExim.MD.Prof.Report(6))
-
-	kMC := o.newKernel(o.topo(max), kernel.Stock())
-	mcOpts := apps.DefaultMemcachedOpts()
-	mcOpts.RequestsPerCore = scale(mcOpts.RequestsPerCore, o.Quick)
-	mcOpts.UseNIC = false
-	apps.RunMemcached(kMC, mcOpts)
-	s.Notes = append(s.Notes, fmt.Sprintf("== memcached on stock, %d cores ==", max))
-	s.Notes = append(s.Notes, kMC.MD.Prof.Report(6))
+	workloads := []string{"Exim", "memcached"}
+	var cells []cell
+	for _, app := range workloads {
+		cells = append(cells, cell{app, max, func(co Options) Point {
+			k := co.newKernel(co.topo(max), kernel.Stock())
+			if app == "Exim" {
+				opts := apps.DefaultEximOpts()
+				opts.MessagesPerCore = scale(opts.MessagesPerCore, co.Quick)
+				apps.RunExim(k, opts)
+			} else {
+				opts := apps.DefaultMemcachedOpts()
+				opts.RequestsPerCore = scale(opts.RequestsPerCore, co.Quick)
+				opts.UseNIC = false
+				apps.RunMemcached(k, opts)
+			}
+			return Point{Cores: max, Variant: app, Metrics: profileMetrics(k.MD.Prof, 6)}
+		}})
+	}
+	pts, errs := o.sweep(s, cells)
+	for i, app := range workloads {
+		s.Notes = append(s.Notes, fmt.Sprintf("== %s on stock, %d cores ==", app, max))
+		if why := rowSkipReason(errs[i : i+1]); why != "" {
+			s.Notes = append(s.Notes, "skipped: "+why)
+			continue
+		}
+		s.Notes = append(s.Notes, prof.Render(profileStats(pts[i].Metrics)))
+	}
 	return s
+}
+
+// profileMetrics flattens a registry's top n locks and lines into metrics
+// in rank order: lock:<name>/wait_cy, /acq and /contended for each lock,
+// then line:<name>/wait_cy and /writes for each line.
+func profileMetrics(r *prof.Registry, n int) []Metric {
+	var ms []Metric
+	for _, l := range r.TopLocks(n) {
+		ms = append(ms, Metric{"lock:" + l.Name + "/wait_cy", float64(l.WaitCycles)},
+			Metric{"lock:" + l.Name + "/acq", float64(l.Acquisitions)},
+			Metric{"lock:" + l.Name + "/contended", float64(l.Contended)})
+	}
+	for _, l := range r.TopLines(n) {
+		ms = append(ms, Metric{"line:" + l.Name + "/wait_cy", float64(l.WaitCycles)},
+			Metric{"line:" + l.Name + "/writes", float64(l.Writes)})
+	}
+	return ms
+}
+
+// profileStats is profileMetrics' inverse.
+func profileStats(ms []Metric) (locks []prof.LockStats, lines []prof.LineStats) {
+	for i := 0; i < len(ms); {
+		kind, rest, _ := strings.Cut(ms[i].Name, ":")
+		name := rest[:strings.LastIndexByte(rest, '/')]
+		v := func(j int) int64 { return int64(ms[i+j].Value) }
+		if kind == "lock" {
+			locks = append(locks, prof.LockStats{Name: name, WaitCycles: v(0), Acquisitions: v(1), Contended: v(2)})
+			i += 3
+		} else {
+			lines = append(lines, prof.LineStats{Name: name, WaitCycles: v(0), Writes: v(1)})
+			i += 2
+		}
+	}
+	return locks, lines
 }
 
 // runSloppyThreshold sweeps the per-core spare cap of a simulated sloppy
@@ -155,31 +203,44 @@ func runSloppyThreshold(o Options) *Series {
 	// so small thresholds cannot park the whole working set locally and
 	// fall through to the central counter.
 	const batch = 3
-	for _, threshold := range []int64{1, 2, 4, 8, 16, 64} {
-		m := o.topo(max)
-		e := o.newEngine(m)
-		md := mem.NewModel(m)
-		ctr := scount.NewSloppy(md, 0)
-		ctr.Threshold = threshold
-		for c := 0; c < max; c++ {
-			e.Spawn(c, "churn", 0, func(p *sim.Proc) {
-				for i := 0; i < churn; i++ {
-					ctr.Acquire(p, batch)
-					p.Advance(120)
-					ctr.Release(p, batch)
-				}
-			})
+	thresholds := []int64{1, 2, 4, 8, 16, 64}
+	var cells []cell
+	for _, threshold := range thresholds {
+		variant := fmt.Sprintf("threshold=%d", threshold)
+		cells = append(cells, cell{variant, max, func(co Options) Point {
+			m := co.topo(max)
+			e := co.newEngine(m)
+			md := mem.NewModel(m)
+			ctr := scount.NewSloppy(md, 0)
+			ctr.Threshold = threshold
+			for c := 0; c < max; c++ {
+				e.Spawn(c, "churn", 0, func(p *sim.Proc) {
+					for i := 0; i < churn; i++ {
+						ctr.Acquire(p, batch)
+						p.Advance(120)
+						ctr.Release(p, batch)
+					}
+				})
+			}
+			e.Run()
+			return Point{
+				Cores:   max,
+				Variant: variant,
+				PerCore: float64(max*churn) / secsFor(m, e.Now()) / float64(max),
+				Metrics: []Metric{{"counter:central/ops", float64(ctr.CentralOps())},
+					{"counter:local/ops", float64(ctr.LocalOps())}},
+			}
+		}})
+	}
+	pts, errs := o.sweepPoints(s, cells)
+	for i, threshold := range thresholds {
+		if why := rowSkipReason(errs[i : i+1]); why != "" {
+			s.Notes = append(s.Notes, fmt.Sprintf("threshold %-3d: skipped: %s", threshold, why))
+			continue
 		}
-		e.Run()
-		opsPerSec := float64(max*churn) / secsFor(m, e.Now()) / float64(max)
-		s.Points = append(s.Points, Point{
-			Cores:   max,
-			Variant: fmt.Sprintf("threshold=%d", threshold),
-			PerCore: opsPerSec,
-		})
-		s.Notes = append(s.Notes, fmt.Sprintf(
-			"threshold %-3d: central ops %6d of %d total",
-			threshold, ctr.CentralOps(), ctr.CentralOps()+ctr.LocalOps()))
+		central := int64(pts[i].Metric("counter:central/ops"))
+		s.Notes = append(s.Notes, fmt.Sprintf("threshold %-3d: central ops %6d of %d total",
+			threshold, central, central+int64(pts[i].Metric("counter:local/ops"))))
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,6 +52,27 @@ type Point struct {
 	// diverging from P50 while PerCore still tracks OfferedPerCore is the
 	// open-loop experiments' headline signal.
 	P50Micros, P99Micros, P999Micros float64
+	// Metrics are the cell's named measurements beyond the fixed columns,
+	// in recorded order. Format and CSV skip them; the experiment that
+	// records them renders its Notes from them.
+	Metrics []Metric `json:",omitempty"`
+}
+
+// Metric is one named number a cell measured. Names read
+// "<kind>:<object>/<quantity>", e.g. "lock:vfsmount_lock/wait_cy".
+type Metric struct {
+	Name  string
+	Value float64
+}
+
+// Metric returns the value of p's named metric (0 when absent).
+func (p Point) Metric(name string) float64 {
+	for _, m := range p.Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
 }
 
 // Series is the result of one experiment: one or more variant curves.
@@ -121,8 +143,9 @@ type Options struct {
 	// behavior.
 	Placement mem.Placement
 	// Cache, when non-nil, memoizes sweep points by (experiment, variant,
-	// cores, seed, quick, placement): hits skip simulation entirely, and
-	// misses are stored so a repeated grid run is served from the cache.
+	// cores, seed, quick, placement, fault, arrival, link, shed): hits
+	// skip simulation entirely, and misses are stored so a repeated grid
+	// run is served from the cache.
 	Cache *Cache //mosvet:allow cachekeylint the cache handle itself; whether points are memoized cannot change what they compute
 	// Fault, when non-nil and non-empty, is the deterministic fault plan
 	// injected into every kernel the experiment boots: degraded or dead HT
@@ -162,8 +185,7 @@ type Options struct {
 	// a crash's cause; results are bit-for-bit identical either way.
 	freshEngines bool //mosvet:allow cachekeylint fresh and reused engines are bit-for-bit identical, pinned by TestEngineReuseDeterminism
 	// slot is the calling sweep worker's pooled engine, set by sweep; nil
-	// outside a sweep, where newEngine builds a fresh engine (the probe
-	// experiments, and safeCachedPoint's retry).
+	// only under freshEngines, where newEngine builds a fresh engine.
 	slot *engineSlot //mosvet:allow cachekeylint engine pooling handle; reuse is bit-for-bit identical to fresh engines
 	// slotGen pins the slot generation this Options was issued under; a
 	// stale generation (the watchdog abandoned the slot) makes newEngine
@@ -397,9 +419,8 @@ type Experiment struct {
 var registry []Experiment
 
 // register adds an experiment to the registry. Run needs no setup of its
-// own: every point an experiment computes goes through sweep, which
-// attaches the workers' pooled engines, and the probe experiments that
-// drive an engine directly get a fresh one from newEngine.
+// own: every simulation an experiment runs is a sweep cell, and sweep
+// attaches the workers' pooled engines.
 func register(e Experiment) {
 	checkDomains(e.ID, e.Domains)
 	registry = append(registry, e)
@@ -430,15 +451,12 @@ func Format(s *Series) string {
 	fmt.Fprintf(&b, "# %s — %s\n", s.ID, s.Title)
 	if len(s.Points) > 0 {
 		variants := s.Variants()
-		coresSet := map[int]bool{}
-		for _, p := range s.Points {
-			coresSet[p.Cores] = true
-		}
 		var cores []int
-		for c := range coresSet {
-			cores = append(cores, c)
+		for _, p := range s.Points {
+			cores = append(cores, p.Cores)
 		}
-		sort.Ints(cores)
+		slices.Sort(cores)
+		cores = slices.Compact(cores)
 
 		fmt.Fprintf(&b, "%-6s", "cores")
 		for _, v := range variants {
@@ -456,55 +474,20 @@ func Format(s *Series) string {
 			}
 			b.WriteString("\n")
 		}
-		// Per-chip memory-controller utilization, one row per point that
-		// streamed bulk data — this is where DRAM saturation localizes.
-		wroteHeader := false
-		for _, v := range variants {
-			for _, c := range cores {
-				p, ok := s.Get(v, c)
-				if !ok || len(p.DRAMUtil) == 0 {
-					continue
+		for _, sec := range pointSections {
+			wroteHeader := false
+			for _, v := range variants {
+				for _, c := range cores {
+					p, ok := s.Get(v, c)
+					if !ok || !sec.applies(p) {
+						continue
+					}
+					if !wroteHeader {
+						b.WriteString(sec.header + "\n")
+						wroteHeader = true
+					}
+					b.WriteString(sec.row(p) + "\n")
 				}
-				if !wroteHeader {
-					b.WriteString("dram controller utilization (per chip):\n")
-					wroteHeader = true
-				}
-				fmt.Fprintf(&b, "  %-28s %2d cores: %s\n", v, c, formatUtil(p.DRAMUtil))
-			}
-		}
-		// Tail latency, one row per open-loop point: offered rate,
-		// delivered goodput, and the sojourn quantiles. p99 pulling away
-		// from p50 while goodput still tracks offered is the overload
-		// early warning the mean never shows.
-		wroteHeader = false
-		for _, v := range variants {
-			for _, c := range cores {
-				p, ok := s.Get(v, c)
-				if !ok || p.OfferedPerCore == 0 {
-					continue
-				}
-				if !wroteHeader {
-					b.WriteString("tail latency (offered/core, goodput/core, p50/p99/p999 us):\n")
-					wroteHeader = true
-				}
-				fmt.Fprintf(&b, "  %-28s %3d: %10.0f %10.0f %8.1f %8.1f %8.1f\n",
-					v, c, p.OfferedPerCore, p.PerCore, p.P50Micros, p.P99Micros, p.P999Micros)
-			}
-		}
-		// Per-link HT utilization: the busiest link pinned near 1.00 while
-		// controllers idle is interconnect saturation.
-		wroteHeader = false
-		for _, v := range variants {
-			for _, c := range cores {
-				p, ok := s.Get(v, c)
-				if !ok || len(p.LinkUtil) == 0 {
-					continue
-				}
-				if !wroteHeader {
-					b.WriteString("ht link utilization (per link):\n")
-					wroteHeader = true
-				}
-				fmt.Fprintf(&b, "  %-28s %2d cores: %s\n", v, c, formatUtil(p.LinkUtil))
 			}
 		}
 	}
@@ -523,16 +506,38 @@ func Format(s *Series) string {
 	return b.String()
 }
 
-// formatUtil renders a per-chip utilization vector compactly.
-func formatUtil(util []float64) string {
-	var b strings.Builder
-	for i, u := range util {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%.2f", u)
-	}
-	return b.String()
+// pointSections are Format's per-point detail sections. Each lists one
+// row per point it applies to, variant by variant in core order, under a
+// header written only when some row applies.
+var pointSections = []struct {
+	header  string
+	applies func(Point) bool
+	row     func(Point) string
+}{
+	// Per-chip memory-controller utilization, one row per point that
+	// streamed bulk data — this is where DRAM saturation localizes.
+	{"dram controller utilization (per chip):",
+		func(p Point) bool { return len(p.DRAMUtil) > 0 },
+		func(p Point) string {
+			return fmt.Sprintf("  %-28s %2d cores: %s", p.Variant, p.Cores, joinUtil(p.DRAMUtil, "%.2f", " "))
+		}},
+	// Tail latency, one row per open-loop point: offered rate, delivered
+	// goodput, and the sojourn quantiles. p99 pulling away from p50 while
+	// goodput still tracks offered is the overload early warning the mean
+	// never shows.
+	{"tail latency (offered/core, goodput/core, p50/p99/p999 us):",
+		func(p Point) bool { return p.OfferedPerCore != 0 },
+		func(p Point) string {
+			return fmt.Sprintf("  %-28s %3d: %10.0f %10.0f %8.1f %8.1f %8.1f",
+				p.Variant, p.Cores, p.OfferedPerCore, p.PerCore, p.P50Micros, p.P99Micros, p.P999Micros)
+		}},
+	// Per-link HT utilization: the busiest link pinned near 1.00 while
+	// controllers idle is interconnect saturation.
+	{"ht link utilization (per link):",
+		func(p Point) bool { return len(p.LinkUtil) > 0 },
+		func(p Point) string {
+			return fmt.Sprintf("  %-28s %2d cores: %s", p.Variant, p.Cores, joinUtil(p.LinkUtil, "%.2f", " "))
+		}},
 }
 
 // CSV renders a series as CSV with a header row. The dram_util and
@@ -546,16 +551,17 @@ func CSV(s *Series) string {
 		fmt.Fprintf(&b, "%s,%s,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%s,%s\n",
 			s.ID, p.Variant, p.Cores, p.PerCore, p.UserMicros, p.SysMicros, p.Retries,
 			p.Dups, p.OfferedPerCore, p.P50Micros, p.P99Micros, p.P999Micros,
-			joinUtil(p.DRAMUtil), joinUtil(p.LinkUtil))
+			joinUtil(p.DRAMUtil, "%.3f", ";"), joinUtil(p.LinkUtil, "%.3f", ";"))
 	}
 	return b.String()
 }
 
-// joinUtil renders a utilization vector as the ';'-joined CSV cell.
-func joinUtil(util []float64) string {
-	var parts []string
-	for _, u := range util {
-		parts = append(parts, fmt.Sprintf("%.3f", u))
+// joinUtil renders a utilization vector, each value in format, joined by
+// sep.
+func joinUtil(util []float64, format, sep string) string {
+	parts := make([]string, len(util))
+	for i, u := range util {
+		parts[i] = fmt.Sprintf(format, u)
 	}
-	return strings.Join(parts, ";")
+	return strings.Join(parts, sep)
 }

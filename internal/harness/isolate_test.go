@@ -213,9 +213,10 @@ func TestWedgedPointHitsWatchdogWithoutRetry(t *testing.T) {
 // in an experiment of each shape that once had its own fan-out or loop:
 // a pair of derived-note measurements (dma), notes-only ablation rows
 // (ablate), a fixed-cores parameter sweep (spool-dirs), per-row 1-vs-max
-// retention (fig12) and a severity axis (degrade). Each must report
-// exactly that point as failed, keep every other point, and mark the
-// failed point's derived note skipped.
+// retention (fig12), a severity axis (degrade), and the probes whose
+// notes render from their cells' metrics (tbl-hw, fig2, profile,
+// sloppy-threshold). Each must report exactly that point as failed, keep
+// every other point, and mark the failed point's derived note skipped.
 func TestSweepShapesIsolateCrashes(t *testing.T) {
 	defer func() { testPointHook = nil }()
 	for _, tc := range []struct {
@@ -229,6 +230,10 @@ func TestSweepShapesIsolateCrashes(t *testing.T) {
 		{"spool-dirs", "dirs=4", 48, 6, ""},
 		{"fig12", "Exim", 48, 0, "Exim "},
 		{"degrade", "PK", 50, 5, "  PK     @ 50%"},
+		{"tbl-hw", "latencies", 48, 0, "memory latencies"},
+		{"fig2", "trace", 2, 0, "sloppy counter trace"},
+		{"profile", "memcached", 48, 0, "skipped: "},
+		{"sloppy-threshold", "threshold=4", 48, 5, "threshold 4  :"},
 	} {
 		t.Run(tc.exp, func(t *testing.T) {
 			testPointHook = func(exp, variant string, cores, attempt int) {

@@ -64,89 +64,114 @@ func init() {
 // style probes and prints them next to the paper's numbers.
 func runHWLatencies(o Options) *Series {
 	s := &Series{ID: "tbl-hw", Title: "Memory latencies (§5.1)", Unit: "cycles"}
-	m := o.topo(o.maxCores())
-	md := mem.NewModel(m)
-	e := o.newEngine(m)
+	max := o.maxCores()
+	pts, errs := o.sweep(s, []cell{{"latencies", max, func(o Options) Point {
+		m := o.topo(max)
+		md := mem.NewModel(m)
+		e := o.newEngine(m)
 
-	// The far probe reads from the chip at the machine's diameter (chip 4
-	// on the default ring); the sharer sits on the prober's chip.
-	farChip := 0
-	for chip := 1; chip < m.Chips; chip++ {
-		if m.HopDistance(0, chip) == m.MaxHops() {
-			farChip = chip
-			break
+		// The far probe reads from the chip at the machine's diameter
+		// (chip 4 on the default ring); the sharer sits on the prober's
+		// chip.
+		farChip := 0
+		for chip := 1; chip < m.Chips; chip++ {
+			if m.HopDistance(0, chip) == m.MaxHops() {
+				farChip = chip
+				break
+			}
 		}
-	}
-	var l1, l3, dramLocal, dramFar, remoteDirty int64
-	lineLocal := md.Alloc(0)
-	lineFar := md.Alloc(farChip)
-	lineShared := md.Alloc(0)
-	lineDirty := md.Alloc(0)
+		lineLocal := md.Alloc(0)
+		lineFar := md.Alloc(farChip)
+		lineShared := md.Alloc(0)
+		lineDirty := md.Alloc(0)
 
-	e.Spawn(m.CoresPerChip-1, "warm-sharer", 0, func(p *sim.Proc) {
-		p.Advance(md.Read(p.Core(), lineShared, p.Now()))
-	})
-	e.Spawn(m.NCores-1, "dirtier", 0, func(p *sim.Proc) {
-		p.Advance(md.Write(p.Core(), lineDirty, p.Now()))
-	})
-	e.Spawn(0, "prober", 1_000_000, func(p *sim.Proc) {
-		dramLocal = md.Read(p.Core(), lineLocal, p.Now())
-		p.Advance(dramLocal)
-		l1 = md.Read(p.Core(), lineLocal, p.Now())
-		p.Advance(l1)
-		dramFar = md.Read(p.Core(), lineFar, p.Now())
-		p.Advance(dramFar)
-		l3 = md.Read(p.Core(), lineShared, p.Now())
-		p.Advance(l3)
-		remoteDirty = md.Read(p.Core(), lineDirty, p.Now())
-		p.Advance(remoteDirty)
-	})
-	e.Run()
-
-	add := func(name string, measured int64, paper string) {
-		s.Notes = append(s.Notes, fmt.Sprintf("%-28s measured %4d cycles   paper %s", name, measured, paper))
+		e.Spawn(m.CoresPerChip-1, "warm-sharer", 0, func(p *sim.Proc) {
+			p.Advance(md.Read(p.Core(), lineShared, p.Now()))
+		})
+		e.Spawn(m.NCores-1, "dirtier", 0, func(p *sim.Proc) {
+			p.Advance(md.Write(p.Core(), lineDirty, p.Now()))
+		})
+		ms := []Metric{{"lat:l2/cy", float64(m.LatL2)}}
+		e.Spawn(0, "prober", 1_000_000, func(p *sim.Proc) {
+			for _, r := range []struct {
+				metric string
+				line   mem.Line
+			}{
+				{"lat:dram_local/cy", lineLocal}, {"lat:l1/cy", lineLocal}, {"lat:dram_far/cy", lineFar},
+				{"lat:l3/cy", lineShared}, {"lat:remote_dirty/cy", lineDirty},
+			} {
+				cy := md.Read(p.Core(), r.line, p.Now())
+				p.Advance(cy)
+				ms = append(ms, Metric{r.metric, float64(cy)})
+			}
+		})
+		e.Run()
+		return Point{Cores: max, Variant: "latencies", Metrics: ms}
+	}}})
+	if why := rowSkipReason(errs); why != "" {
+		s.Notes = append(s.Notes, "memory latencies: skipped: "+why)
+		return s
 	}
-	add("L1 hit", l1, "3")
-	add("L2 hit (model constant)", m.LatL2, "14")
-	add("shared L3 hit (same chip)", l3, "28")
-	add("local DRAM", dramLocal, "122")
-	add("farthest DRAM", dramFar, "503")
-	add("remote dirty line fetch", remoteDirty, "hundreds (§4.1)")
+	for _, r := range []struct{ metric, label, paper string }{
+		{"lat:l1/cy", "L1 hit", "3"},
+		{"lat:l2/cy", "L2 hit (model constant)", "14"},
+		{"lat:l3/cy", "shared L3 hit (same chip)", "28"},
+		{"lat:dram_local/cy", "local DRAM", "122"},
+		{"lat:dram_far/cy", "farthest DRAM", "503"},
+		{"lat:remote_dirty/cy", "remote dirty line fetch", "hundreds (§4.1)"},
+	} {
+		s.Notes = append(s.Notes, fmt.Sprintf("%-28s measured %4d cycles   paper %s",
+			r.label, int64(pts[0].Metric(r.metric)), r.paper))
+	}
 	return s
 }
 
 // runSloppyTrace reproduces Figure 2's narrative: a thread takes a
 // reference from the central counter, releases it locally, and a second
 // acquire on the same core is satisfied without touching the central
-// counter.
+// counter. A counter that breaks its invariant panics the cell, so the
+// trace fails instead of printing.
 func runSloppyTrace(o Options) *Series {
 	s := &Series{ID: "fig2", Title: "Sloppy counter trace (Figure 2)"}
-	m := o.topo(2)
-	md := mem.NewModel(m)
-	e := o.newEngine(m)
-	ctr := scount.NewSloppy(md, 0)
-	e.Spawn(0, "core0", 0, func(p *sim.Proc) {
-		ctr.Acquire(p, 1)
-		s.Notes = append(s.Notes, fmt.Sprintf(
-			"core 0 acquire: central ops=%d local ops=%d (first ref comes from the central counter)",
-			ctr.CentralOps(), ctr.LocalOps()))
-		p.Advance(1000)
-		ctr.Release(p, 1)
-		s.Notes = append(s.Notes, fmt.Sprintf(
-			"core 0 release: central ops=%d local ops=%d (ref parked as a local spare)",
-			ctr.CentralOps(), ctr.LocalOps()))
-		ctr.Acquire(p, 1)
-		s.Notes = append(s.Notes, fmt.Sprintf(
-			"core 0 acquire: central ops=%d local ops=%d (spare reused without central traffic)",
-			ctr.CentralOps(), ctr.LocalOps()))
-		ctr.Release(p, 1)
-		if err := ctr.Check(); err != nil {
-			s.Notes = append(s.Notes, "INVARIANT VIOLATION: "+err.Error())
-		} else {
-			s.Notes = append(s.Notes, "invariant holds: central == in-use + sum(per-core spares)")
+	pts, errs := o.sweep(s, []cell{{"trace", 2, func(o Options) Point {
+		m := o.topo(2)
+		md := mem.NewModel(m)
+		e := o.newEngine(m)
+		ctr := scount.NewSloppy(md, 0)
+		var ms []Metric
+		record := func(step string) {
+			ms = append(ms, Metric{"trace:" + step + "/central_ops", float64(ctr.CentralOps())},
+				Metric{"trace:" + step + "/local_ops", float64(ctr.LocalOps())})
 		}
-	})
-	e.Run()
+		e.Spawn(0, "core0", 0, func(p *sim.Proc) {
+			ctr.Acquire(p, 1)
+			record("acquire")
+			p.Advance(1000)
+			ctr.Release(p, 1)
+			record("release")
+			ctr.Acquire(p, 1)
+			record("reacquire")
+			ctr.Release(p, 1)
+		})
+		e.Run()
+		if err := ctr.Check(); err != nil {
+			panic("fig2: sloppy counter invariant violated: " + err.Error())
+		}
+		return Point{Cores: 2, Variant: "trace", Metrics: ms}
+	}}})
+	if why := rowSkipReason(errs); why != "" {
+		s.Notes = append(s.Notes, "sloppy counter trace: skipped: "+why)
+		return s
+	}
+	for _, st := range []struct{ step, note string }{
+		{"acquire", "core 0 acquire: central ops=%d local ops=%d (first ref comes from the central counter)"},
+		{"release", "core 0 release: central ops=%d local ops=%d (ref parked as a local spare)"},
+		{"reacquire", "core 0 acquire: central ops=%d local ops=%d (spare reused without central traffic)"},
+	} {
+		s.Notes = append(s.Notes, fmt.Sprintf(st.note, int64(pts[0].Metric("trace:"+st.step+"/central_ops")),
+			int64(pts[0].Metric("trace:"+st.step+"/local_ops"))))
+	}
+	s.Notes = append(s.Notes, "invariant holds: central == in-use + sum(per-core spares)")
 	return s
 }
 

@@ -18,11 +18,11 @@ import (
 // Ownership is a pure function of the point's identity (experiment ID plus
 // full cache key), not of enumeration order, so any process — or CI shard
 // on a different machine — partitions the grid identically without
-// coordination. Every experiment that produces Points computes them
-// through sweep, so every one of them splits. The five probe experiments
-// (fig1, fig2, tbl-hw, profile, sloppy-threshold) produce text read from
-// simulator internals rather than Points; they are cheap, uncached, and
-// simply run whole in whichever process prints them.
+// coordination. Every simulation an experiment runs is a sweep cell, so
+// every experiment that simulates splits; the probes (tbl-hw, fig2,
+// profile) carry their measurements in Point.Metrics and render their
+// notes from the merged cells. Only fig1, which prints the fix table and
+// simulates nothing, runs whole in whichever process prints it.
 
 // errShardSkipped marks a sweep point owned by another shard: the point is
 // omitted from both Series.Points and Series.Failed.

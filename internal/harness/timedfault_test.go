@@ -11,8 +11,8 @@ import (
 
 // timedFaultResult runs one quick Metis point — the workload that streams
 // its input through every chip's memory controller — under the given
-// fault spec, booting its kernel on o's engine (a fresh engine when o has
-// no arena slot).
+// fault spec, booting its kernel on o's engine: the slot's pooled engine,
+// or a fresh one under o.freshEngines.
 func timedFaultResult(t *testing.T, o Options, cores int, spec string) apps.Result {
 	t.Helper()
 	f, err := fault.Parse(spec)
@@ -34,20 +34,21 @@ func TestTimedFaultStepFiresMidRun(t *testing.T) {
 		base  = "dram:1@50%"
 		timed = base + ",dram:0@50%@t=1ms"
 	)
-	fresh := timedFaultResult(t, Options{}, 8, timed)
-	boot := timedFaultResult(t, Options{}, 8, base+",dram:0@50%")
+	plain := Options{freshEngines: true}
+	fresh := timedFaultResult(t, plain, 8, timed)
+	boot := timedFaultResult(t, plain, 8, base+",dram:0@50%")
 
-	if without := timedFaultResult(t, Options{}, 8, base); reflect.DeepEqual(fresh, without) {
+	if without := timedFaultResult(t, plain, 8, base); reflect.DeepEqual(fresh, without) {
 		t.Errorf("the @t=1ms throttle left the point unchanged: %+v", fresh)
 	}
 	if reflect.DeepEqual(fresh, boot) {
 		t.Errorf("the @t=1ms throttle equals the boot-time throttle; the step fired at boot: %+v", fresh)
 	}
-	if atZero := timedFaultResult(t, Options{}, 8, base+",dram:0@50%@t=0s"); !reflect.DeepEqual(atZero, boot) {
+	if atZero := timedFaultResult(t, plain, 8, base+",dram:0@50%@t=0s"); !reflect.DeepEqual(atZero, boot) {
 		t.Errorf("a throttle at t=0 differs from the boot-time throttle:\nt=0:  %+v\nboot: %+v", atZero, boot)
 	}
 
-	if late := timedFaultResult(t, Options{}, 8, base+",dram:0@50%@t=100ms"); late.WallCycles != topo.SecToCycles(0.1) {
+	if late := timedFaultResult(t, plain, 8, base+",dram:0@50%@t=100ms"); late.WallCycles != topo.SecToCycles(0.1) {
 		t.Errorf("a step at t=100ms, after the workload, ended the run at cycle %d, want %d", late.WallCycles, topo.SecToCycles(0.1))
 	}
 

@@ -127,11 +127,16 @@ func logicalName(name string) string {
 	return name
 }
 
-// Report renders a human-readable contention profile.
+// Report renders the contention profile of the top topN locks and lines.
 func (r *Registry) Report(topN int) string {
+	return Render(r.TopLocks(topN), r.TopLines(topN))
+}
+
+// Render renders ranked lock and line statistics (as TopLocks and
+// TopLines return them) as a human-readable contention profile.
+func Render(locks []LockStats, lines []LineStats) string {
 	var b strings.Builder
 	b.WriteString("lock contention (by wait cycles):\n")
-	locks := r.TopLocks(topN)
 	if len(locks) == 0 {
 		b.WriteString("  (none)\n")
 	}
@@ -143,7 +148,6 @@ func (r *Registry) Report(topN int) string {
 		fmt.Fprintf(&b, "  %-24s %12d wait cy   %9d acq   %5.1f%% contended\n",
 			s.Name, s.WaitCycles, s.Acquisitions, pct)
 	}
-	lines := r.TopLines(topN)
 	if len(lines) > 0 {
 		b.WriteString("hot cache lines (by transfer-queue cycles):\n")
 		for _, s := range lines {

@@ -28,7 +28,8 @@ import (
 
 // Options controls a run.
 type Options struct {
-	// Cores overrides the core-count sweep (default: 1..48 subset).
+	// Cores overrides the core-count sweep (default: 1..48 subset). Each
+	// count may appear once; Run rejects duplicates.
 	Cores []int
 	// Quick shrinks budgets and the sweep for fast runs.
 	Quick bool
@@ -43,10 +44,10 @@ type Options struct {
 	// PostgreSQL): "local" (default), "striped", "remote", or "home:N".
 	Placement string
 	// Cache, when non-nil, memoizes sweep points by (experiment, variant,
-	// cores, seed, quick, placement) under per-experiment cost-model
-	// fingerprints, so a repeated grid run is served without simulating
-	// and a retune invalidates only the affected experiments. Open one
-	// with OpenCache and Save it when done.
+	// cores, seed, quick, placement, fault, arrival, link, shed) under
+	// per-experiment cost-model fingerprints, so a repeated grid run is
+	// served without simulating and a retune invalidates only the
+	// affected experiments. Open one with OpenCache and Save it when done.
 	Cache *Cache
 	// Fault is a deterministic fault-injection spec applied to every
 	// kernel the experiment boots: comma-separated events like
@@ -170,17 +171,33 @@ func CheckShed(s string) error {
 	return err
 }
 
-// Cache is a handle to an on-disk sweep-point cache shared across runs
-// and machines. Points are stored in per-experiment sections keyed by
-// (variant, cores, seed, quick, placement); each section is stamped with
-// the combined cost-model fingerprint of the domains its experiment
-// depends on, so retuning one application's constants invalidates only
-// that application's figures while every other experiment keeps replaying
-// from cache. A schema hash remains the outer guard against Point-shape
-// refactors.
-type Cache struct {
-	inner *harness.Cache
-}
+type (
+	// Cache is a handle to an on-disk sweep-point cache shared across
+	// runs and machines. Points are stored in per-experiment sections
+	// keyed by (variant, cores, seed, quick, placement, fault, arrival,
+	// link, shed); each section is stamped with the cost-model fingerprint
+	// of the domains its experiment depends on, so a retune invalidates
+	// only the affected figures. A schema hash over the Point type guards
+	// against refactors.
+	Cache = harness.Cache
+	// CacheStats is a snapshot of a cache's per-experiment activity.
+	CacheStats = harness.CacheStats
+	// ExperimentCacheStats is one experiment's cache activity.
+	ExperimentCacheStats = harness.ExperimentCacheStats
+	// Point is one measurement: an application variant at one core count,
+	// with any named metrics the experiment recorded in Point.Metrics.
+	Point = harness.Point
+	// Metric is one named number in Point.Metrics.
+	Metric = harness.Metric
+	// FailedPoint identifies one sweep point that produced no
+	// measurement: its simulation panicked (twice — points are retried
+	// once on a fresh engine) or wedged past the per-point watchdog. The
+	// rest of the sweep is unaffected.
+	FailedPoint = harness.FailedPoint
+	// BenchResult is one machine-readable performance measurement of the
+	// simulator itself (engine dispatch, handoff, sweep wall-clock).
+	BenchResult = harness.BenchResult
+)
 
 // OpenCache opens (creating if needed) the point cache stored in dir.
 // One-line warnings — an ignored unparsable or stale-schema cache file,
@@ -196,105 +213,7 @@ func OpenCache(dir string) (*Cache, error) {
 // conditions worth knowing about (ignored cache files, removed orphan
 // temp files) as one-line messages through logf. A nil logf is silent.
 func OpenCacheLogged(dir string, logf func(format string, args ...any)) (*Cache, error) {
-	c, err := harness.OpenCacheLogged(dir, logf)
-	if err != nil {
-		return nil, err
-	}
-	return &Cache{inner: c}, nil
-}
-
-// Save writes the cache back to its directory, merging with the current
-// on-disk contents first so concurrent processes sharing the directory do
-// not drop each other's points; the final write is atomic.
-func (c *Cache) Save() error { return c.inner.Save() }
-
-// Hits returns how many lookups were served from the cache.
-func (c *Cache) Hits() int64 { return c.inner.Hits() }
-
-// Misses returns how many lookups fell through to simulation.
-func (c *Cache) Misses() int64 { return c.inner.Misses() }
-
-// Len returns the number of cached points.
-func (c *Cache) Len() int { return c.inner.Len() }
-
-// ExperimentCacheStats is one experiment's cache activity.
-type ExperimentCacheStats struct {
-	// Hits and Misses count this cache handle's lookups.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Invalidated counts stored points dropped because the experiment's
-	// cost-model fingerprint changed since they were computed (a retune
-	// of a cost domain the experiment depends on).
-	Invalidated int64 `json:"invalidated"`
-	// Points is the number of points currently cached.
-	Points int `json:"points"`
-}
-
-// CacheStats is a snapshot of a cache's per-experiment activity.
-type CacheStats struct {
-	Hits        int64                           `json:"hits"`
-	Misses      int64                           `json:"misses"`
-	Invalidated int64                           `json:"invalidated"`
-	Experiments map[string]ExperimentCacheStats `json:"experiments"`
-}
-
-// WriteStats writes the cache's activity snapshot as JSON to path,
-// creating missing parent directories; the write is atomic (unique temp
-// file + rename), the same discipline Save uses for points.json.
-func (c *Cache) WriteStats(path string) error { return c.inner.WriteStatsJSON(path) }
-
-// Stats returns per-experiment hit/miss/invalidation counts plus totals.
-func (c *Cache) Stats() CacheStats {
-	hs := c.inner.Stats()
-	out := CacheStats{
-		Hits:        hs.Hits,
-		Misses:      hs.Misses,
-		Invalidated: hs.Invalidated,
-		Experiments: make(map[string]ExperimentCacheStats, len(hs.Experiments)),
-	}
-	for exp, e := range hs.Experiments {
-		out.Experiments[exp] = ExperimentCacheStats{
-			Hits: e.Hits, Misses: e.Misses, Invalidated: e.Invalidated, Points: e.Points,
-		}
-	}
-	return out
-}
-
-// Point is one measurement.
-type Point struct {
-	Cores                 int
-	Variant               string
-	PerCore               float64
-	UserMicros, SysMicros float64
-	// DRAMUtil is each chip's memory-controller busy fraction during the
-	// run (nil for workloads that stream no bulk data).
-	DRAMUtil []float64
-	// LinkUtil is each HyperTransport link's busy fraction during the
-	// run (nil for workloads that stream no bulk data).
-	LinkUtil []float64
-	// Retries is client-visible network retransmissions per operation —
-	// zero except under injected packet loss (Options.Fault) or open-loop
-	// overload (timeout-driven resends).
-	Retries float64
-	// Dups is server-side duplicate suppressions per operation: client
-	// retransmissions a TCP-backed server recognized and discarded.
-	Dups float64
-	// OfferedPerCore is the open-loop offered load (req/s/core); zero for
-	// closed-loop experiments. PerCore is then goodput, not throughput.
-	OfferedPerCore float64
-	// P50Micros, P99Micros, and P999Micros are client-perceived sojourn
-	// quantiles in microseconds for open-loop experiments; zero otherwise.
-	P50Micros, P99Micros, P999Micros float64
-}
-
-// FailedPoint identifies one sweep point that produced no measurement:
-// its simulation panicked (twice — points are retried once on a fresh
-// engine) or wedged past the per-point watchdog. The rest of the sweep is
-// unaffected.
-type FailedPoint struct {
-	Variant string
-	Cores   int
-	Err     string
+	return harness.OpenCacheLogged(dir, logf)
 }
 
 // Series is the result of one experiment.
@@ -316,39 +235,16 @@ func (s *Series) Table() string { return harness.Format(s.inner) }
 // CSV renders the series as CSV.
 func (s *Series) CSV() string { return harness.CSV(s.inner) }
 
-// Get returns the point for (variant, cores).
+// Get returns the point in s.Point for (variant, cores).
 func (s *Series) Get(variant string, cores int) (Point, bool) {
-	for _, p := range s.Point {
-		if p.Variant == variant && p.Cores == cores {
-			return p, true
-		}
-	}
-	return Point{}, false
-}
-
-// BenchResult is one machine-readable performance measurement of the
-// simulator itself (engine dispatch, handoff, sweep wall-clock).
-type BenchResult struct {
-	Name    string
-	NsPerOp float64
-	Ops     int64
+	return (&harness.Series{Points: s.Point}).Get(variant, cores)
 }
 
 // WriteBenchJSON runs the simulator's performance microbenchmarks (engine
 // dispatch fast path, proc handoff, fresh vs reused spawn/run cycles, and
 // quick-sweep wall-clock cold vs warm-cache) and writes them as JSON to
 // path — the machine-readable artifact cmd/mosbench -benchjson emits.
-func WriteBenchJSON(path string) ([]BenchResult, error) {
-	rs, err := harness.WriteBenchJSON(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []BenchResult
-	for _, r := range rs {
-		out = append(out, BenchResult{Name: r.Name, NsPerOp: r.NsPerOp, Ops: r.Ops})
-	}
-	return out, nil
-}
+func WriteBenchJSON(path string) ([]BenchResult, error) { return harness.WriteBenchJSON(path) }
 
 // CompareBenchJSON compares the bench report at currentPath against the
 // committed baseline at baselinePath: every metric present in both whose
@@ -397,9 +293,16 @@ func Run(id string, o Options) (*Series, error) {
 	if err != nil {
 		return nil, err
 	}
+	seen := map[int]bool{}
+	for _, c := range o.Cores {
+		if seen[c] {
+			return nil, fmt.Errorf("mosbench: core count %d appears twice in Cores %v; each must be unique", c, o.Cores)
+		}
+		seen[c] = true
+	}
 	ho := harness.Options{
 		Cores: o.Cores, Quick: o.Quick, Seed: o.Seed, Serial: o.Serial,
-		Placement: pl, PointTimeout: o.PointTimeout,
+		Placement: pl, PointTimeout: o.PointTimeout, Cache: o.Cache,
 	}
 	if o.Machine != "" {
 		ho.Machine = m
@@ -433,22 +336,7 @@ func Run(id string, o Options) (*Series, error) {
 	if ho.Shed, err = load.ParseShed(o.Shed); err != nil {
 		return nil, err
 	}
-	if o.Cache != nil {
-		ho.Cache = o.Cache.inner
-	}
 	hs := e.Run(ho)
-	s := &Series{ID: hs.ID, Title: hs.Title, Unit: hs.Unit, Notes: hs.Notes, inner: hs}
-	for _, p := range hs.Points {
-		s.Point = append(s.Point, Point{
-			Cores: p.Cores, Variant: p.Variant, PerCore: p.PerCore,
-			UserMicros: p.UserMicros, SysMicros: p.SysMicros,
-			DRAMUtil: p.DRAMUtil, LinkUtil: p.LinkUtil, Retries: p.Retries,
-			Dups: p.Dups, OfferedPerCore: p.OfferedPerCore,
-			P50Micros: p.P50Micros, P99Micros: p.P99Micros, P999Micros: p.P999Micros,
-		})
-	}
-	for _, f := range hs.Failed {
-		s.Failed = append(s.Failed, FailedPoint{Variant: f.Variant, Cores: f.Cores, Err: f.Err})
-	}
-	return s, nil
+	return &Series{ID: hs.ID, Title: hs.Title, Unit: hs.Unit, Point: hs.Points,
+		Failed: hs.Failed, Notes: hs.Notes, inner: hs}, nil
 }

@@ -57,6 +57,13 @@ func TestRunValidatesShards(t *testing.T) {
 	}
 }
 
+func TestRunRejectsDuplicateCores(t *testing.T) {
+	_, err := Run("fig4", Options{Quick: true, Cores: []int{8, 1, 8}})
+	if err == nil || !strings.Contains(err.Error(), "core count 8") {
+		t.Errorf("Run with Cores [8 1 8] returned %v, want an error naming the repeated count 8", err)
+	}
+}
+
 func TestRunQuickFig5(t *testing.T) {
 	s, err := Run("fig5", Options{Quick: true})
 	if err != nil {
