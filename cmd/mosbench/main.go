@@ -38,9 +38,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,8 +66,8 @@ func main() {
 		link       = flag.String("link", "", "client link shaping for open-loop experiments, e.g. \"rtt=20ms±5,loss=0.1%,bw=10mbit\" (default: ideal link)")
 		shed       = flag.String("shed", "", "open-loop admission policy: fifo (unbounded queue), qlen=N (bounded accept queue), or delay=100us (delay-bounded; the latload default)")
 		cache      = flag.String("cache", "", "directory for the on-disk sweep-point cache: repeated grid runs are served without simulating")
-		verbose    = flag.Bool("verbose", false, "report per-experiment cache hit/miss/invalidation counters after the run (requires -cache)")
-		stats      = flag.String("cachestats", "", "write per-experiment cache hit/miss stats as JSON to this path after the run (requires -cache)")
+		verbose    = flag.Bool("verbose", false, "report per-experiment and per-section cache hit/miss/invalidation counters after the run (requires -cache)")
+		stats      = flag.String("cachestats", "", "write per-experiment and per-section cache stats as JSON to this path after the run (requires -cache)")
 		bench      = flag.String("benchjson", "", "write simulator microbenchmarks (engine dispatch, handoff, sweep wall-clock) as JSON to this path and exit, ignoring every other flag")
 		benchBase  = flag.String("benchbaseline", "", "after -benchjson, compare the fresh numbers against the committed report at this path and exit 1 if any metric regressed by more than -benchfactor")
 		benchFact  = flag.Float64("benchfactor", 2.0, "allowed growth factor per metric for -benchbaseline")
@@ -383,22 +384,20 @@ func parseCoreCount(s string, maxCores int) (int, error) {
 	return n, nil
 }
 
-// reportCacheStats prints the totals plus one line per experiment that
-// saw cache activity this run.
+// reportCacheStats prints the totals, one line per experiment that made
+// lookups this run, and one line per cost-domain section with activity.
 func reportCacheStats(cs mosbench.CacheStats, points int, dir string) {
 	fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d invalidated, %d points stored (%s)\n",
 		cs.Hits, cs.Misses, cs.Invalidated, points, dir)
-	var ids []string
-	for id, e := range cs.Experiments {
-		if e.Hits+e.Misses+e.Invalidated > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(cs.Experiments)) {
 		e := cs.Experiments[id]
-		fmt.Fprintf(os.Stderr, "cache: %-16s %4d hits %4d misses %4d invalidated %4d points\n",
-			id, e.Hits, e.Misses, e.Invalidated, e.Points)
+		fmt.Fprintf(os.Stderr, "cache: %-16s %4d hits %4d misses\n", id, e.Hits, e.Misses)
+	}
+	for _, id := range slices.Sorted(maps.Keys(cs.Sections)) {
+		if e := cs.Sections[id]; e.Hits+e.Misses+e.Invalidated > 0 {
+			fmt.Fprintf(os.Stderr, "cache: section %-40s %4d hits %4d misses %4d invalidated %4d points\n",
+				id, e.Hits, e.Misses, e.Invalidated, e.Points)
+		}
 	}
 }
 

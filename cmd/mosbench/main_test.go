@@ -87,6 +87,11 @@ func TestBadSpecsAreUsageErrors(t *testing.T) {
 			args: []string{"-experiment", "latload", "-shed", "qlen=0"},
 			want: []string{"-shed", "positive"},
 		},
+		{
+			name: "negative fault chip",
+			args: []string{"-experiment", "fig4", "-quick", "-fault", "link:0--1@0"},
+			want: []string{"-fault", "bad chip"},
+		},
 	}
 	for _, c := range cases {
 		c := c

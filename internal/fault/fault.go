@@ -171,10 +171,10 @@ func parseEvent(part string) (Event, error) {
 			return ev, fmt.Errorf("fault: %q: want link:A-B@P%%", part)
 		}
 		var err error
-		if ev.A, err = strconv.Atoi(a); err != nil {
+		if ev.A, err = parseIndex(a); err != nil {
 			return ev, fmt.Errorf("fault: %q: bad chip %q", part, a)
 		}
-		if ev.B, err = strconv.Atoi(b); err != nil {
+		if ev.B, err = parseIndex(b); err != nil {
 			return ev, fmt.Errorf("fault: %q: bad chip %q", part, b)
 		}
 		if ev.Frac, err = parsePercent(val); err != nil {
@@ -187,7 +187,7 @@ func parseEvent(part string) (Event, error) {
 			return ev, fmt.Errorf("fault: %q: want dram:C@P%%", part)
 		}
 		var err error
-		if ev.A, err = strconv.Atoi(target); err != nil {
+		if ev.A, err = parseIndex(target); err != nil {
 			return ev, fmt.Errorf("fault: %q: bad chip %q", part, target)
 		}
 		if ev.Frac, err = parsePercent(val); err != nil {
@@ -203,7 +203,7 @@ func parseEvent(part string) (Event, error) {
 			return ev, fmt.Errorf("fault: %q: want core:N@off", part)
 		}
 		var err error
-		if ev.A, err = strconv.Atoi(target); err != nil {
+		if ev.A, err = parseIndex(target); err != nil {
 			return ev, fmt.Errorf("fault: %q: bad core %q", part, target)
 		}
 		ev.Kind = KindCore
@@ -221,6 +221,21 @@ func parseEvent(part string) (Event, error) {
 		return ev, fmt.Errorf("fault: %q: unknown kind %q (want link, dram, core, drop, or dup)", part, kind)
 	}
 	return ev, nil
+}
+
+// parseIndex parses a chip or core number. Negative numbers are rejected
+// here rather than at Validate: "link:0--1" would otherwise parse and
+// render as "link:-1-0", which no longer parses, so the canonical string
+// would not be a fixed point of parse→print.
+func parseIndex(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("negative index %d", n)
+	}
+	return n, nil
 }
 
 // parsePercent accepts "50%", "down" (0), or a bare fraction like "0.5".

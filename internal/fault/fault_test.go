@@ -42,7 +42,11 @@ func TestParseErrors(t *testing.T) {
 		"core:0@50%",    // cores are only on/off
 		"drop:1.5",
 		"bogus:1",
-		"link:0-1", // missing value
+		"link:0-1",      // missing value
+		"link:0--1@0",   // negative chip: would print as link:-1-0, which does not parse
+		"link:-1-0@50%", // negative chip
+		"dram:-1@50%",   // negative chip
+		"core:-3@off",   // negative core
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)

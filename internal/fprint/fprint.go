@@ -13,7 +13,7 @@
 // name, so it is independent of declaration order and stable across
 // builds and machines as long as the values themselves are unchanged.
 // Fingerprints compose: a package that assembles others (kernel, the
-// harness's per-experiment combination) records their fingerprints as
+// harness's per-section combination) records their fingerprints as
 // values of its own.
 package fprint
 

@@ -109,29 +109,29 @@ func (a *engineArena) put(s *engineSlot) {
 	}
 }
 
-// newEngine returns the engine for one sweep cell: the calling sweep
-// worker's pooled engine (reset to the machine and the run's seed), or a
-// fresh engine under o.freshEngines (safeCachedPoint's retry). Only cell
-// bodies call it; outside a sweep there is no slot to draw from.
-func (o Options) newEngine(m *topo.Machine) *sim.Engine {
+// engine returns the sweep worker's pooled engine reset for sp's machine
+// and seed, or a fresh one under o.freshEngines (safeCachedPoint's retry).
+// Only cell bodies call it; outside a sweep there is no slot to draw from.
+func (o Options) engine(sp *spec) (*sim.Engine, *topo.Machine) {
+	m := sp.topo()
 	if o.freshEngines {
-		return sim.NewEngine(m, o.seed())
+		return sim.NewEngine(m, sp.seed), m
 	}
-	return o.slot.engine(o.slotGen, m, o.seed())
+	return o.slot.engine(o.slotGen, m, sp.seed), m
 }
 
-// newKernel boots a kernel for one sweep point on o.newEngine's engine,
-// applying o.Fault when set. A spec that does not compile for this point's
-// core count panics; under the guarded sweep that surfaces as one failed
-// point rather than killing the run.
-func (o Options) newKernel(m *topo.Machine, cfg kernel.Config) *kernel.Kernel {
-	e := o.newEngine(m)
-	if o.Fault == nil || o.Fault.IsZero() {
-		return kernel.NewOnEngine(e, cfg)
+// boot boots sp's kernel on o.engine's engine, applying sp's fault plan. A
+// plan that does not compile for the cell's machine panics; under the
+// guarded sweep that surfaces as one failed point rather than killing the
+// run.
+func (o Options) boot(sp *spec) *kernel.Kernel {
+	e, m := o.engine(sp)
+	if sp.fault == nil {
+		return kernel.NewOnEngine(e, *sp.cfg)
 	}
-	plan, err := o.Fault.CompileFor(m, m.NCores)
+	plan, err := sp.fault.CompileFor(m, m.NCores)
 	if err != nil {
-		panic(fmt.Sprintf("harness: fault spec %q: %v", o.Fault, err))
+		panic(fmt.Sprintf("harness: fault spec %q: %v", sp.fault, err))
 	}
-	return kernel.NewOnEngineFaults(e, cfg, plan)
+	return kernel.NewOnEngineFaults(e, *sp.cfg, plan)
 }

@@ -16,18 +16,18 @@ import (
 // cacheVersion is bumped whenever the meaning of cached values changes in
 // a way neither the Point schema nor the cost-model fingerprints capture
 // (e.g. a change to the key format itself).
-const cacheVersion = 2
+const cacheVersion = 3
 
 // cacheSchema fingerprints the cache's shape: the version, the section and
 // key formats, and Point's full type shape down through its nested types
 // (typeShape). It is the outer guard: a cache file written under a
 // different schema self-invalidates wholesale on load, so refactors of
 // Point or Metric can never resurface stale entries. Cost-model retunes
-// are NOT part of the schema — they invalidate per experiment through the
-// fingerprint stored in each section.
+// are NOT part of the schema — they invalidate per cost-domain section
+// through the fingerprint stored in each section.
 var cacheSchema = func() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v%d|sections=experiment:fingerprint|key=variant|cores|seed|quick|placement|fault|arrival|link|shed|%s",
+	fmt.Fprintf(h, "v%d|sections=domains[@machine]:fingerprint|key=workload[/measure]|opts|kernel|machine/fill|cores|seed|quick|placement|fault|arrival|link|shed|points=unlabeled|%s",
 		cacheVersion, typeShape(reflect.TypeOf(Point{})))
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }()
@@ -54,10 +54,12 @@ func typeShape(t reflect.Type) string {
 // cacheFileName is the single JSON file a cache directory holds.
 const cacheFileName = "points.json"
 
-// cacheSection holds one experiment's points, stamped with the combined
-// cost-model fingerprint they were computed under (see fingerprintFor).
-// A section whose fingerprint no longer matches the running binary's is
-// dropped — and only that section: every other experiment's points stay.
+// cacheSection holds the points of every spec that declares one set of
+// cost domains on one machine, stamped with the combined cost-model
+// fingerprint they were computed under (see fingerprintFor). A section
+// whose fingerprint no longer matches the running binary's is dropped —
+// and only that section: a memcached retune drops the memcached cells of
+// every experiment and keeps every other workload's.
 type cacheSection struct {
 	Fingerprint string           `json:"fingerprint"`
 	Points      map[string]Point `json:"points"`
@@ -65,31 +67,34 @@ type cacheSection struct {
 
 // cacheFile is the on-disk representation.
 type cacheFile struct {
-	Schema      string                   `json:"schema"`
-	Experiments map[string]*cacheSection `json:"experiments"`
+	Schema   string                   `json:"schema"`
+	Sections map[string]*cacheSection `json:"sections"`
 }
 
-// expCounters tracks one experiment's lookup outcomes.
-type expCounters struct {
+// counters tracks lookup outcomes, for one experiment or one section.
+type counters struct {
 	hits, misses, invalidated int64
 }
 
-// Cache is a content-addressed store of sweep points, one section per
-// experiment, each section keyed by (variant, cores, seed, quick,
-// placement, fault, arrival, link, shed) — see cacheKey — and stamped
-// with the experiment's cost-model fingerprint. A
-// warm cache lets a repeated full-grid run skip simulation entirely;
-// retuning one cost domain invalidates only the experiments that declare
-// it. The cache is safe for the concurrent sweep workers; Save merges
-// with the current on-disk contents and writes atomically, so concurrent
-// processes sharing a directory do not drop each other's points.
+// Cache is a content-addressed store of sweep points: each point is keyed
+// by its cell's spec (see newSpec) and filed in the section of the cost
+// domains the spec declares, stamped with those domains' cost-model
+// fingerprint. The points are unlabeled measurements, so every experiment
+// that simulates one spec shares its stored point, and a warm cache lets a
+// repeated full-grid run skip simulation entirely. Retuning one cost
+// domain invalidates exactly the sections that declare it, wherever their
+// cells appear. The cache is safe for the concurrent sweep workers; Save
+// merges with the current on-disk contents and writes atomically, so
+// concurrent processes sharing a directory do not drop each other's
+// points.
 type Cache struct {
 	path string
 	logf func(format string, args ...any)
 
 	mu       sync.Mutex
 	sections map[string]*cacheSection
-	stats    map[string]*expCounters
+	expStats map[string]*counters
+	secStats map[string]*counters
 	hits     int64
 	misses   int64
 	dirty    bool
@@ -112,7 +117,8 @@ func OpenCacheLogged(dir string, logf func(format string, args ...any)) (*Cache,
 		path:     filepath.Join(dir, cacheFileName),
 		logf:     logf,
 		sections: map[string]*cacheSection{},
-		stats:    map[string]*expCounters{},
+		expStats: map[string]*counters{},
+		secStats: map[string]*counters{},
 	}
 	// A crash (or full disk) between Save's temp-file write and rename
 	// strands a points.json.tmp* next to the cache; it will never be
@@ -133,14 +139,14 @@ func OpenCacheLogged(dir string, logf func(format string, args ...any)) (*Cache,
 		c.warnf("harness: cache: ignoring %s written under schema %s (current %s); starting empty",
 			c.path, f.Schema, cacheSchema)
 	default:
-		for exp, s := range f.Experiments {
+		for id, s := range f.Sections {
 			if s == nil {
 				continue
 			}
 			if s.Points == nil {
 				s.Points = map[string]Point{}
 			}
-			c.sections[exp] = s
+			c.sections[id] = s
 		}
 	}
 	return c, nil
@@ -190,14 +196,14 @@ func (c *Cache) Save() error {
 		c.warnf("harness: cache: saving without cross-process lock (%v)", err)
 	}
 	if f, err := readCacheFile(c.path); err == nil && f.Schema == cacheSchema {
-		for exp, theirs := range f.Experiments {
+		for id, theirs := range f.Sections {
 			if theirs == nil || len(theirs.Points) == 0 {
 				continue
 			}
-			ours, ok := c.sections[exp]
+			ours, ok := c.sections[id]
 			if !ok {
-				// An experiment only another process ran: keep it.
-				c.sections[exp] = theirs
+				// A section only another process filled: keep it.
+				c.sections[id] = theirs
 				continue
 			}
 			if ours.Fingerprint != theirs.Fingerprint {
@@ -206,8 +212,8 @@ func (c *Cache) Save() error {
 				// process only loaded (never ran) must not clobber points
 				// another process just computed under the current
 				// fingerprint.
-				if cur := fingerprintFor(exp); theirs.Fingerprint == cur && ours.Fingerprint != cur {
-					c.sections[exp] = theirs
+				if cur := fingerprintFor(id); theirs.Fingerprint == cur && ours.Fingerprint != cur {
+					c.sections[id] = theirs
 				}
 				continue
 			}
@@ -220,7 +226,7 @@ func (c *Cache) Save() error {
 	} else if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		c.warnf("harness: cache: overwriting %s rather than merging (%v)", c.path, err)
 	}
-	data, err := json.MarshalIndent(cacheFile{Schema: cacheSchema, Experiments: c.sections}, "", " ")
+	data, err := json.MarshalIndent(cacheFile{Schema: cacheSchema, Sections: c.sections}, "", " ")
 	if err != nil {
 		return fmt.Errorf("harness: cache encode: %w", err)
 	}
@@ -272,10 +278,15 @@ func (c *Cache) Misses() int64 {
 	return c.misses
 }
 
-// Len returns the number of cached points across all experiments.
+// Len returns the number of cached points across all sections.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.len()
+}
+
+// len is Len with c.mu held.
+func (c *Cache) len() int {
 	n := 0
 	for _, s := range c.sections {
 		n += len(s.Points)
@@ -283,25 +294,35 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// ExperimentCacheStats is one experiment's cache activity.
+// ExperimentCacheStats is the cache activity of one experiment's lookups.
+// Cells another experiment already stored are hits.
 type ExperimentCacheStats struct {
-	// Hits and Misses count this cache's lookups for the experiment.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Invalidated counts stored points dropped because the experiment's
+}
+
+// SectionCacheStats is one cost-domain section's activity and contents.
+type SectionCacheStats struct {
+	// Hits and Misses count this cache's lookups of the section's cells.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Invalidated counts stored points dropped because the section's
 	// cost-model fingerprint changed since they were computed.
 	Invalidated int64 `json:"invalidated"`
-	// Points is the number of points currently cached.
+	// Points is the number of points currently cached in the section.
 	Points int `json:"points"`
 }
 
-// CacheStats reports per-experiment hit/miss/invalidation counts plus the
-// totals.
+// CacheStats reports the totals, each experiment's lookups, and each
+// section's lookups and contents. Points is the number of distinct cells
+// cached, across every section.
 type CacheStats struct {
 	Hits        int64                           `json:"hits"`
 	Misses      int64                           `json:"misses"`
 	Invalidated int64                           `json:"invalidated"`
+	Points      int                             `json:"points"`
 	Experiments map[string]ExperimentCacheStats `json:"experiments"`
+	Sections    map[string]SectionCacheStats    `json:"sections"`
 }
 
 // WriteStats writes the cache's activity snapshot as indented JSON to
@@ -323,47 +344,47 @@ func (c *Cache) WriteStats(path string) error {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := CacheStats{Hits: c.hits, Misses: c.misses, Experiments: map[string]ExperimentCacheStats{}}
-	for exp, s := range c.sections {
-		e := out.Experiments[exp]
-		e.Points = len(s.Points)
-		out.Experiments[exp] = e
+	out := CacheStats{Hits: c.hits, Misses: c.misses, Points: c.len(),
+		Experiments: map[string]ExperimentCacheStats{}, Sections: map[string]SectionCacheStats{}}
+	for exp, st := range c.expStats {
+		out.Experiments[exp] = ExperimentCacheStats{Hits: st.hits, Misses: st.misses}
 	}
-	for exp, st := range c.stats {
-		e := out.Experiments[exp]
+	for id, s := range c.sections {
+		out.Sections[id] = SectionCacheStats{Points: len(s.Points)}
+	}
+	for id, st := range c.secStats {
+		e := out.Sections[id]
 		e.Hits, e.Misses, e.Invalidated = st.hits, st.misses, st.invalidated
-		out.Experiments[exp] = e
+		out.Sections[id] = e
 		out.Invalidated += st.invalidated
 	}
 	return out
 }
 
-// expStats returns exp's counters, creating them on first use. Caller
+// counter returns m's counters for id, creating them on first use. Caller
 // holds c.mu.
-func (c *Cache) expStats(exp string) *expCounters {
-	st := c.stats[exp]
+func counter(m map[string]*counters, id string) *counters {
+	st := m[id]
 	if st == nil {
-		st = &expCounters{}
-		c.stats[exp] = st
+		st = &counters{}
+		m[id] = st
 	}
 	return st
 }
 
-// section returns exp's section primed for fingerprint fp: a missing
-// section is created empty, and a section computed under a different
-// fingerprint has its points dropped (counted as invalidated) — the
-// per-experiment replacement for the old wholesale cache version bump.
-// Caller holds c.mu.
-func (c *Cache) section(exp, fp string) *cacheSection {
-	s := c.sections[exp]
+// section returns section id primed for fingerprint fp: a missing section
+// is created empty, and a section computed under a different fingerprint
+// has its points dropped (counted as invalidated). Caller holds c.mu.
+func (c *Cache) section(id, fp string) *cacheSection {
+	s := c.sections[id]
 	if s == nil {
 		s = &cacheSection{Fingerprint: fp, Points: map[string]Point{}}
-		c.sections[exp] = s
+		c.sections[id] = s
 		return s
 	}
 	if s.Fingerprint != fp {
 		if n := len(s.Points); n > 0 {
-			c.expStats(exp).invalidated += int64(n)
+			counter(c.secStats, id).invalidated += int64(n)
 			c.dirty = true // purge the stale points from disk on Save
 		}
 		s.Fingerprint = fp
@@ -372,86 +393,28 @@ func (c *Cache) section(exp, fp string) *cacheSection {
 	return s
 }
 
-func (c *Cache) lookup(exp, fp, key string) (Point, bool) {
+// lookup returns the point stored for key in section sec under
+// fingerprint fp, counting the outcome for experiment exp and the section.
+func (c *Cache) lookup(exp, sec, fp, key string) (Point, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.section(exp, fp).Points[key]
-	st := c.expStats(exp)
+	p, ok := c.section(sec, fp).Points[key]
+	es, ss := counter(c.expStats, exp), counter(c.secStats, sec)
 	if ok {
 		c.hits++
-		st.hits++
+		es.hits++
+		ss.hits++
 	} else {
 		c.misses++
-		st.misses++
+		es.misses++
+		ss.misses++
 	}
 	return p, ok
 }
 
-func (c *Cache) store(exp, fp, key string, p Point) {
+func (c *Cache) store(sec, fp, key string, p Point) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.section(exp, fp).Points[key] = p
+	c.section(sec, fp).Points[key] = p
 	c.dirty = true
-}
-
-// cacheKey addresses one measurement within an experiment's section.
-// Everything a point's value depends on must appear either here (variant,
-// cores, and the run options that change simulated behavior) or in the
-// section's cost-model fingerprint (the experiment's tuning constants).
-// The fault term is the spec's canonical string ("none" for a clean run),
-// so faulted points never alias clean ones and clean-run hits are
-// unaffected by fault sweeps sharing the cache. The arrival/link/shed
-// terms do the same for the open-loop specs ("none"/"none"/"fifo" when
-// unset), so open-loop points never alias closed-loop ones. The terms
-// record what the caller asked for, not what the experiment used:
-// passing -link to a closed-loop sweep re-keys (and re-simulates)
-// results a spec-less run already holds — the conservative direction, a
-// stale alias is impossible.
-func (o Options) cacheKey(variant string, cores int) string {
-	return fmt.Sprintf("%s|%d|seed=%d|quick=%t|placement=%s|fault=%s|arrival=%s|link=%s|shed=%s",
-		variant, cores, o.seed(), o.Quick, o.Placement.String(), o.faultString(),
-		o.Arrival.String(), o.Link.String(), o.Shed.String())
-}
-
-// faultString renders o.Fault canonically for the cache key.
-func (o Options) faultString() string {
-	if o.Fault == nil {
-		return "none"
-	}
-	return o.Fault.String()
-}
-
-// cacheSectionID names the cache section a point belongs to: the bare
-// experiment ID on the default machine (so historical caches stay warm),
-// or "exp@machine" on any other machine — each simulated host is its own
-// cost domain, and points for different hosts never alias.
-func (o Options) cacheSectionID(exp string) string {
-	if m := o.machine(); !m.IsDefault() {
-		return exp + "@" + m.Name
-	}
-	return exp
-}
-
-// cachedPoint returns the cached measurement for (exp, variant, cores)
-// under o, or computes it with f and stores it. With no cache attached it
-// just runs f. A point whose watchdog already abandoned it (see
-// runGuarded) is never stored: its slot generation is stale, its result
-// was discarded, and a late store would poison reruns with a value no one
-// validated.
-func (o Options) cachedPoint(exp, variant string, cores int, f func() Point) Point {
-	if o.Cache == nil {
-		return f()
-	}
-	sec := o.cacheSectionID(exp)
-	fp := fingerprintFor(sec)
-	key := o.cacheKey(variant, cores)
-	if p, ok := o.Cache.lookup(sec, fp, key); ok {
-		return p
-	}
-	p := f()
-	if o.abandoned != nil && o.abandoned.Load() {
-		return p
-	}
-	o.Cache.store(sec, fp, key, p)
-	return p
 }

@@ -7,9 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/apps"
 )
 
 // probeExperiments are the experiments that never consult the cache.
@@ -18,12 +21,11 @@ import (
 // other experiment runs its simulations as sweep cells.
 var probeExperiments = []string{"fig1"}
 
-// cachingExperiments returns the section IDs of every registered
-// experiment that actually consults the cache (produced at least one
-// lookup in a probe run), and fails unless the experiments that never do
-// are exactly probeExperiments. Derived, not hard-coded, so new
-// experiments are covered automatically.
-func cachingExperiments(t *testing.T, seed uint64) []string {
+// cachingRun runs every registered experiment against one fresh cache and
+// returns it, failing unless the experiments that never look a cell up are
+// exactly probeExperiments. Derived, not hard-coded, so new experiments
+// are covered automatically.
+func cachingRun(t *testing.T, seed uint64) *Cache {
 	t.Helper()
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -32,34 +34,39 @@ func cachingExperiments(t *testing.T, seed uint64) []string {
 	for _, e := range Experiments() {
 		e.Run(Options{Quick: true, Seed: seed, Cache: c})
 	}
-	var out []string
-	cached := map[string]bool{}
-	for exp, st := range c.Stats().Experiments {
-		if st.Hits+st.Misses > 0 {
-			out = append(out, exp)
-			bare, _, _ := strings.Cut(exp, "@")
-			cached[bare] = true
-		}
-	}
 	var uncached []string
 	for _, e := range Experiments() {
-		if !cached[e.ID] {
+		if st := c.Stats().Experiments[e.ID]; st.Hits+st.Misses == 0 {
 			uncached = append(uncached, e.ID)
 		}
 	}
 	if !reflect.DeepEqual(uncached, probeExperiments) {
 		t.Fatalf("experiments that never consult the cache = %v, want exactly the probes %v", uncached, probeExperiments)
 	}
-	return out
+	return c
 }
 
-// TestFingerprintInvalidationIsPerExperiment pins the incremental
-// invalidation acceptance criterion: perturb exactly one experiment's
-// stored cost-model fingerprint (what a retune of its constants does),
-// then re-run the full suite warm — only that experiment re-simulates
-// (misses > 0, stale points counted invalidated); every other experiment
-// is served entirely from cache with zero misses.
-func TestFingerprintInvalidationIsPerExperiment(t *testing.T) {
+// specKey is the key of a fixed probe spec built under o, for tests of the
+// run-wide spec terms.
+func specKey(o Options) string {
+	return o.newSpec(spec{workload: "probe", cores: 8, domains: kernelDomains}).key
+}
+
+// memcachedSection reports whether a cache section holds memcached cells
+// (closed-loop, faulted or open-loop, on any machine).
+func memcachedSection(id string) bool {
+	domains, _, _ := strings.Cut(id, "@")
+	return slices.Contains(strings.Split(domains, "+"), "apps/memcached")
+}
+
+// TestFingerprintInvalidationIsPerWorkload pins incremental invalidation:
+// perturb the stored fingerprint of every section that holds memcached
+// cells (what a retune of memcached's constants does), then re-run each
+// experiment warm against that cache. Every memcached cell re-simulates
+// (misses, stale points counted invalidated) in every experiment that has
+// one; every other cell — Exim's in particular — is served from the cache
+// with zero misses, wherever it appears.
+func TestFingerprintInvalidationIsPerWorkload(t *testing.T) {
 	const seed = 11
 	dir := t.TempDir()
 	c1, err := OpenCache(dir)
@@ -75,19 +82,28 @@ func TestFingerprintInvalidationIsPerExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Perturb fig5's fingerprint on disk, as if memcached's tuning
-	// constants had been retuned since the cache was written.
-	const victim = "fig5"
+	// Perturb the memcached sections' fingerprints on disk, as if
+	// memcached's tuning constants had been retuned since the cache was
+	// written.
 	path := filepath.Join(dir, cacheFileName)
 	f, err := readCacheFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec := f.Experiments[victim]
-	if sec == nil || sec.Fingerprint != fingerprintFor(victim) {
-		t.Fatalf("cache file has no current-fingerprint section for %s", victim)
+	victims := 0
+	for id, sec := range f.Sections {
+		if !memcachedSection(id) {
+			continue
+		}
+		if sec.Fingerprint != fingerprintFor(id) {
+			t.Fatalf("cache file section %s is not stamped with its current fingerprint", id)
+		}
+		sec.Fingerprint = "feedfacefeedface"
+		victims++
 	}
-	sec.Fingerprint = "feedfacefeedface"
+	if victims == 0 {
+		t.Fatal("cache file has no memcached section")
+	}
 	data, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
@@ -96,41 +112,50 @@ func TestFingerprintInvalidationIsPerExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := Options{Quick: true, Seed: seed, Cache: c2}
+	// Each experiment opens its own view of the perturbed file, so none
+	// replays a memcached cell another experiment just recomputed.
+	memcachedExps := map[string]bool{"ablate": true, "degrade": true, "dma": true, "fig12": true, "fig3": true,
+		"fig5": true, "latload": true, "machines": true, "nic-env": true, "profile": true}
+	eximExps := map[string]bool{"ablate": true, "fig12": true, "fig3": true, "fig4": true, "machines": true,
+		"profile": true, "scalable-locks": true, "spool-dirs": true}
+	const eximSection = "topo+mem+kernel+apps/exim"
 	for _, e := range Experiments() {
-		got := e.Run(warm)
-		if !reflect.DeepEqual(got, series[e.ID]) {
+		c2, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Run(Options{Quick: true, Seed: seed, Cache: c2}); !reflect.DeepEqual(got, series[e.ID]) {
 			t.Errorf("%s: warm series differs from cold series", e.ID)
 		}
-	}
-	stats := c2.Stats()
-	v := stats.Experiments[victim]
-	if v.Misses == 0 {
-		t.Errorf("%s: perturbed fingerprint did not force re-simulation (0 misses)", victim)
-	}
-	if v.Invalidated == 0 {
-		t.Errorf("%s: stale points were not counted as invalidated", victim)
-	}
-	for exp, st := range stats.Experiments {
-		if exp == victim {
-			continue
+		var memcachedMisses int64
+		for id, st := range c2.Stats().Sections {
+			switch {
+			case memcachedSection(id):
+				memcachedMisses += st.Misses
+				if st.Hits != 0 {
+					t.Errorf("%s: %d memcached cells in %s hit a section computed under the old constants", e.ID, st.Hits, id)
+				}
+				if st.Misses > 0 && st.Invalidated == 0 {
+					t.Errorf("%s: stale points of %s were not counted as invalidated", e.ID, id)
+				}
+			case st.Misses != 0 || st.Invalidated != 0:
+				t.Errorf("%s: section %s missed %d and invalidated %d; only memcached's fingerprint changed",
+					e.ID, id, st.Misses, st.Invalidated)
+			}
 		}
-		if st.Misses != 0 {
-			t.Errorf("%s: %d misses on a warm run; only %s should re-simulate", exp, st.Misses, victim)
+		if got := memcachedMisses > 0; got != memcachedExps[e.ID] {
+			t.Errorf("%s: %d memcached cells re-simulated; want some exactly when it runs memcached (%v)",
+				e.ID, memcachedMisses, memcachedExps[e.ID])
 		}
-		if st.Invalidated != 0 {
-			t.Errorf("%s: %d points invalidated; only %s's fingerprint changed", exp, st.Invalidated, victim)
+		if st := c2.Stats().Sections[eximSection]; eximExps[e.ID] && (st.Hits == 0 || st.Misses != 0) {
+			t.Errorf("%s: Exim cells %d hits, %d misses; a memcached retune must leave them all hits", e.ID, st.Hits, st.Misses)
 		}
 	}
 }
 
 // TestDomainRetuneInvalidatesOnlyDependents models a retune in-process:
-// swapping one app domain's fingerprint must make the experiments that
-// declare it miss, while an experiment of a different app still hits.
+// swapping one app domain's fingerprint must make that app's cells miss,
+// while the cells of a different app still hit.
 func TestDomainRetuneInvalidatesOnlyDependents(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -155,30 +180,50 @@ func TestDomainRetuneInvalidatesOnlyDependents(t *testing.T) {
 		t.Errorf("fig4 (exim): %d hits, %d misses; a memcached retune must not invalidate it",
 			st.Hits, st.Misses)
 	}
-	if st := stats.Experiments["fig5"]; st.Hits != 0 || st.Invalidated == 0 {
-		t.Errorf("fig5 (memcached): %d hits, %d invalidated; the retune should have dropped its points",
-			st.Hits, st.Invalidated)
+	if st := stats.Experiments["fig5"]; st.Hits != 0 {
+		t.Errorf("fig5 (memcached): %d hits; the retune should have dropped its points", st.Hits)
+	}
+	if st := stats.Sections["topo+mem+kernel+"+domain]; st.Invalidated == 0 {
+		t.Errorf("memcached section: %+v; the retune should have invalidated its points", st)
 	}
 }
 
-// TestEveryCachingExperimentDeclaresDomains keeps registrations honest:
-// an experiment that consults the cache must declare an explicit domain
-// list (the all-domains fallback would silently reintroduce wholesale
-// invalidation for it). Non-default machines cache under "exp@machine"
-// sections; the registration lookup uses the bare experiment ID.
+// TestEveryCachingExperimentDeclaresDomains keeps specs honest: every
+// section a full run fills names only known cost domains, always the
+// machine's ("topo", "mem"), and every application cell sits in a section
+// that declares its application's domain, so retuning that application
+// invalidates it.
 func TestEveryCachingExperimentDeclaresDomains(t *testing.T) {
-	for _, id := range cachingExperiments(t, 13) {
-		exp, _, _ := strings.Cut(id, "@")
-		e := ByID(exp)
-		if e == nil {
-			t.Errorf("experiment %q cached points but is not registered", id)
-			continue
+	c := cachingRun(t, 13)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, sec := range c.sections {
+		domainList, _, _ := strings.Cut(id, "@")
+		domains := strings.Split(domainList, "+")
+		for _, d := range domains {
+			if _, ok := costDomains[d]; !ok {
+				t.Errorf("section %q declares unknown cost domain %q", id, d)
+			}
 		}
-		if len(e.Domains) == 0 {
-			t.Errorf("experiment %q consults the cache but declares no cost domains", id)
+		if !slices.Contains(domains, "topo") || !slices.Contains(domains, "mem") {
+			t.Errorf("section %q does not declare the machine's domains", id)
+		}
+		for key := range sec.Points {
+			workload, _, _ := strings.Cut(key, "|")
+			for app := range apps.Fingerprints() {
+				if strings.HasPrefix(workload, app) && !slices.Contains(domains, "apps/"+app) {
+					t.Errorf("cell %q sits in section %q, which does not declare apps/%s", key, id, app)
+				}
+			}
 		}
 	}
 }
+
+// Two real section IDs for the cache-file tests below.
+const (
+	eximSec      = "topo+mem+kernel+apps/exim"
+	memcachedSec = "topo+mem+kernel+apps/memcached"
+)
 
 // TestCacheSaveMergesOnDisk pins the cross-process durability fix: two
 // cache handles sharing one directory, each saving different points, must
@@ -193,10 +238,10 @@ func TestCacheSaveMergesOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := fingerprintFor("fig4")
-	c1.store("fig4", fp, "Stock|1|seed=1|quick=true|placement=local", Point{Cores: 1, Variant: "Stock", PerCore: 10})
-	c2.store("fig4", fp, "Stock|48|seed=1|quick=true|placement=local", Point{Cores: 48, Variant: "Stock", PerCore: 5})
-	c2.store("fig5", fingerprintFor("fig5"), "PK|8|seed=1|quick=true|placement=local", Point{Cores: 8, Variant: "PK", PerCore: 7})
+	fp := fingerprintFor(eximSec)
+	c1.store(eximSec, fp, "Stock|1|seed=1|quick=true|placement=local", Point{Cores: 1, Variant: "Stock", PerCore: 10})
+	c2.store(eximSec, fp, "Stock|48|seed=1|quick=true|placement=local", Point{Cores: 48, Variant: "Stock", PerCore: 5})
+	c2.store(memcachedSec, fingerprintFor(memcachedSec), "PK|8|seed=1|quick=true|placement=local", Point{Cores: 8, Variant: "PK", PerCore: 7})
 	if err := c1.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +256,13 @@ func TestCacheSaveMergesOnDisk(t *testing.T) {
 	if got := c3.Len(); got != 3 {
 		t.Errorf("after two merging saves the cache holds %d points, want 3", got)
 	}
-	for _, probe := range []struct{ exp, key string }{
-		{"fig4", "Stock|1|seed=1|quick=true|placement=local"},
-		{"fig4", "Stock|48|seed=1|quick=true|placement=local"},
-		{"fig5", "PK|8|seed=1|quick=true|placement=local"},
+	for _, probe := range []struct{ sec, key string }{
+		{eximSec, "Stock|1|seed=1|quick=true|placement=local"},
+		{eximSec, "Stock|48|seed=1|quick=true|placement=local"},
+		{memcachedSec, "PK|8|seed=1|quick=true|placement=local"},
 	} {
-		if _, ok := c3.lookup(probe.exp, fingerprintFor(probe.exp), probe.key); !ok {
-			t.Errorf("point %s/%s lost across concurrent saves", probe.exp, probe.key)
+		if _, ok := c3.lookup("test", probe.sec, fingerprintFor(probe.sec), probe.key); !ok {
+			t.Errorf("point %s/%s lost across concurrent saves", probe.sec, probe.key)
 		}
 	}
 }
@@ -231,7 +276,7 @@ func TestCacheSaveMergeDropsStaleSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.store("fig4", "0ldf1ngerpr1nt00", "Stock|1|seed=1|quick=true|placement=local", Point{Cores: 1, PerCore: 99})
+	c1.store(eximSec, "0ldf1ngerpr1nt00", "Stock|1|seed=1|quick=true|placement=local", Point{Cores: 1, PerCore: 99})
 	if err := c1.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +285,8 @@ func TestCacheSaveMergeDropsStaleSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := fingerprintFor("fig4")
-	c2.store("fig4", fp, "Stock|1|seed=1|quick=true|placement=local", Point{Cores: 1, PerCore: 10})
+	fp := fingerprintFor(eximSec)
+	c2.store(eximSec, fp, "Stock|1|seed=1|quick=true|placement=local", Point{Cores: 1, PerCore: 10})
 	if err := c2.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +295,7 @@ func TestCacheSaveMergeDropsStaleSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := c3.lookup("fig4", fp, "Stock|1|seed=1|quick=true|placement=local")
+	p, ok := c3.lookup("test", eximSec, fp, "Stock|1|seed=1|quick=true|placement=local")
 	if !ok || p.PerCore != 10 {
 		t.Errorf("current-fingerprint point lost in merge: ok=%v p=%+v", ok, p)
 	}
@@ -268,19 +313,19 @@ func TestCacheSaveMergeDropsStaleSections(t *testing.T) {
 func TestCacheSaveMergePrefersCurrentFingerprintOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	key := "Stock|1|seed=1|quick=true|placement=local"
-	fp := fingerprintFor("fig4")
+	fp := fingerprintFor(eximSec)
 
 	stale, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale.store("fig4", "0ldf1ngerpr1nt00", key, Point{Cores: 1, PerCore: 99})
+	stale.store(eximSec, "0ldf1ngerpr1nt00", key, Point{Cores: 1, PerCore: 99})
 
 	current, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	current.store("fig4", fp, key, Point{Cores: 1, PerCore: 10})
+	current.store(eximSec, fp, key, Point{Cores: 1, PerCore: 10})
 	if err := current.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +338,7 @@ func TestCacheSaveMergePrefersCurrentFingerprintOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := reopened.lookup("fig4", fp, key)
+	p, ok := reopened.lookup("test", eximSec, fp, key)
 	if !ok || p.PerCore != 10 {
 		t.Errorf("current-fingerprint point lost to a stale last writer: ok=%v p=%+v", ok, p)
 	}
@@ -363,7 +408,7 @@ func TestCacheConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exps := []string{"fig4", "fig5", "fig9", "scount"}
+	secs := []string{eximSec, memcachedSec, "topo+mem+kernel+apps/gmake", "topo+mem+kernel"}
 	const workers = 8
 	const opsPerWorker = 200
 	var wg sync.WaitGroup
@@ -374,11 +419,11 @@ func TestCacheConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < opsPerWorker; i++ {
-				exp := exps[rng.Intn(len(exps))]
-				fp := fingerprintFor(exp)
+				sec := secs[rng.Intn(len(secs))]
+				fp := fingerprintFor(sec)
 				key := fmt.Sprintf("v%d|%d|seed=1|quick=true|placement=local", w, i)
-				if _, ok := c.lookup(exp, fp, key); !ok {
-					c.store(exp, fp, key, Point{Cores: i, Variant: fmt.Sprintf("v%d", w), PerCore: float64(i)})
+				if _, ok := c.lookup("test", sec, fp, key); !ok {
+					c.store(sec, fp, key, Point{Cores: i, Variant: fmt.Sprintf("v%d", w), PerCore: float64(i)})
 				}
 				if i%50 == 0 {
 					if err := c.Save(); err != nil {
@@ -411,9 +456,9 @@ func TestWriteStatsJSONCreatesParentDirs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Generate some activity so the snapshot has content.
-	c.lookup("exp", "fp", "k")
-	c.store("exp", "fp", "k", Point{Cores: 1})
-	c.lookup("exp", "fp", "k")
+	c.lookup("exp", "sec", "fp", "k")
+	c.store("sec", "fp", "k", Point{Cores: 1})
+	c.lookup("exp", "sec", "fp", "k")
 
 	// The stats path's parent does not exist yet; WriteStats must
 	// create it rather than failing like a plain os.WriteFile would.
@@ -432,8 +477,11 @@ func TestWriteStatsJSONCreatesParentDirs(t *testing.T) {
 	if got.Hits != 1 || got.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit and 1 miss", got)
 	}
-	if e := got.Experiments["exp"]; e.Points != 1 {
-		t.Errorf("experiment section = %+v, want 1 point", e)
+	if e := got.Experiments["exp"]; e.Hits != 1 || e.Misses != 1 {
+		t.Errorf("experiment stats = %+v, want 1 hit and 1 miss", e)
+	}
+	if sec := got.Sections["sec"]; sec.Points != 1 || got.Points != 1 {
+		t.Errorf("section stats = %+v, total %d points; want 1 point", sec, got.Points)
 	}
 	// No temp files left behind: the write renamed into place.
 	if orphans, _ := filepath.Glob(path + ".tmp*"); len(orphans) != 0 {
@@ -471,5 +519,55 @@ func TestTypeShapeCoversNestedTypes(t *testing.T) {
 	}
 	if got := typeShape(reflect.TypeOf(Point{})); !strings.Contains(got, "Metrics []struct{Name string") {
 		t.Errorf("Point's shape does not reach into Metric: %s", got)
+	}
+}
+
+// TestEqualSpecsRunOnce: a spec's body runs once however many cells ask
+// for it. Within one sweep, ablate's 32 cells are 21 distinct specs (its
+// stock baselines repeat), so a parallel run executes 21 bodies and
+// matches the serial run; across experiments sharing a cache, fig3's Exim
+// cells are fig4's, so running fig4 and then fig3 computes no Exim cell
+// twice.
+func TestEqualSpecsRunOnce(t *testing.T) {
+	defer func() { testPointHook = nil }()
+	var mu sync.Mutex
+	bodies := map[string]int{} // experiment/variant -> bodies run
+	testPointHook = func(exp, variant string, cores, attempt int) {
+		mu.Lock()
+		bodies[exp+"/"+variant]++
+		mu.Unlock()
+	}
+	count := func(prefix string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for k, v := range bodies {
+			if strings.HasPrefix(k, prefix) {
+				n += v
+			}
+		}
+		return n
+	}
+
+	parallel := ByID("ablate").Run(Options{Quick: true, Seed: 5})
+	if got := count("ablate/"); got != 21 {
+		t.Errorf("parallel ablate ran %d bodies for its 32 cells, want 21 (one per distinct spec)", got)
+	}
+	if serial := ByID("ablate").Run(Options{Quick: true, Seed: 5, Serial: true}); !reflect.DeepEqual(parallel, serial) {
+		t.Errorf("parallel ablate differs from the serial run:\nparallel: %+v\nserial:   %+v", parallel, serial)
+	}
+
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Quick: true, Seed: 5, Cache: c}
+	ByID("fig4").Run(o)
+	ByID("fig3").Run(o)
+	if got := count("fig3/Exim"); got != 0 {
+		t.Errorf("fig3 re-simulated %d Exim cells fig4 already computed", got)
+	}
+	if st := c.Stats().Sections[eximSec]; st.Misses != 6 || st.Hits != 4 {
+		t.Errorf("Exim section: %d misses, %d hits; want fig4's 6 cells computed and fig3's 4 served", st.Misses, st.Hits)
 	}
 }

@@ -28,10 +28,7 @@ func init() {
 		ID:    "degrade",
 		Title: "Graceful degradation under injected faults (memcached, fixed cores)",
 		Paper: "Robustness extension (not a paper figure): per-core throughput vs fault severity, stock vs PK",
-		// Depends on the fault model's retry constants in addition to the
-		// usual memcached stack.
-		Domains: append(withApps("memcached"), "fault"),
-		Run:     runDegrade,
+		Run:   runDegrade,
 	})
 }
 
@@ -64,17 +61,20 @@ func runDegrade(o Options) *Series {
 		Title: fmt.Sprintf("Graceful degradation at %d cores, fault spec %s", cores, base),
 		Unit:  "req/s/core",
 	}
-	// Severity is the cells' axis; each run pins the real core count.
+	// Severity is the cells' axis; each run pins the real core count, and
+	// its fault plan is a spec term, so the clean 0% cells are fig5's.
 	var runs []variantRun
 	for _, cfgv := range []struct {
 		name string
 		cfg  kernel.Config
 	}{{"Stock", kernel.Stock()}, {"PK", kernel.PK()}} {
-		runs = append(runs, variantRun{cfgv.name, func(sev int, co Options) Point {
-			co.Fault = base.Scale(float64(sev) / 100)
-			p := point(runMemcached(cfgv.cfg, cores, co), cfgv.name, 1)
-			p.Cores = sev // severity percent, the series' x-axis
-			return p
+		runs = append(runs, variantRun{cfgv.name, func(sev int) cell {
+			so := o
+			so.Fault = base.Scale(float64(sev) / 100)
+			return so.memcached(cfgv.cfg, cores).then(func(p Point) Point {
+				p.Cores = sev // severity percent, the series' x-axis
+				return p
+			})
 		}})
 	}
 	pts, errs := o.sweepPoints(s, grid(severities, runs))

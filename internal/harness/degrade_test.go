@@ -94,7 +94,7 @@ func TestCacheKeyIncludesFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulted := Options{Fault: spec}
-	if clean.cacheKey("V", 8) == faulted.cacheKey("V", 8) {
+	if specKey(clean) == specKey(faulted) {
 		t.Error("fault spec does not affect the cache key")
 	}
 	// Equivalent specs written differently share a key (canonical form).
@@ -102,7 +102,7 @@ func TestCacheKeyIncludesFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulted.cacheKey("V", 8) != (Options{Fault: spec2}).cacheKey("V", 8) {
+	if specKey(faulted) != specKey(Options{Fault: spec2}) {
 		t.Error("equivalent fault specs produce different cache keys")
 	}
 }

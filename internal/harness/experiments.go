@@ -20,118 +20,130 @@ func scale(n int, quick bool) int {
 	return n
 }
 
-// point converts an app result to a harness point.
-func point(r apps.Result, variant string, perCoreScale float64) Point {
+// point converts an app result to an unlabeled harness point, in the
+// runner's units (operations per second per core).
+func point(r apps.Result) Point {
 	return Point{
 		Cores:          r.Cores,
-		Variant:        variant,
-		PerCore:        r.PerCore() * perCoreScale,
+		PerCore:        r.PerCore(),
 		UserMicros:     r.UserMicrosPerOp(),
 		SysMicros:      r.SysMicrosPerOp(),
 		DRAMUtil:       r.DRAMUtil,
 		LinkUtil:       r.LinkUtil,
 		Retries:        r.RetriesPerOp(),
 		Dups:           r.DupsPerOp(),
-		OfferedPerCore: r.OfferedPerCore * perCoreScale,
+		OfferedPerCore: r.OfferedPerCore,
 		P50Micros:      r.SojournMicros(0.50),
 		P99Micros:      r.SojournMicros(0.99),
 		P999Micros:     r.SojournMicros(0.999),
 	}
 }
 
-// ---- Application runners shared by fig3..fig11 ----
+// ---- Application cells shared by every experiment that runs an app ----
 //
-// Every runner boots its kernel through o.newKernel, so a sweep worker's
-// pooled engine is reused point to point instead of being rebuilt.
+// Each constructor returns the unlabeled cell for one application run.
+// Experiments that simulate the same thing build it through the same
+// constructor, so their specs are equal and the run is computed once.
 
-func runExim(cfg kernel.Config, cores int, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
+// appCell is the cell for one application run: its spec renders opts and
+// cfg, and its body boots cfg on the spec's machine and runs the app with
+// exactly those opts.
+func appCell[O any](o Options, app string, opts O, cfg kernel.Config, cores int, rr bool,
+	run func(*kernel.Kernel, O) apps.Result) cell {
+	return o.newCell(spec{workload: app, opts: fmt.Sprintf("%+v", opts), cfg: &cfg, cores: cores, rr: rr, domains: domainsFor(app)},
+		func(co Options, sp *spec) Point { return point(run(co.boot(sp), opts)) })
+}
+
+func (o Options) eximOpts() apps.EximOpts {
 	opts := apps.DefaultEximOpts()
 	opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
-	return apps.RunExim(k, opts)
+	return opts
 }
 
-func runMemcached(cfg kernel.Config, cores int, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
+func (o Options) memcachedOpts() apps.MemcachedOpts {
 	opts := apps.DefaultMemcachedOpts()
 	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
-	return apps.RunMemcached(k, opts)
+	return opts
 }
 
-func runApache(cfg kernel.Config, cores int, single bool, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
+func (o Options) exim(cfg kernel.Config, cores int) cell {
+	return appCell(o, "exim", o.eximOpts(), cfg, cores, false, apps.RunExim)
+}
+
+func (o Options) memcached(cfg kernel.Config, cores int) cell {
+	return appCell(o, "memcached", o.memcachedOpts(), cfg, cores, false, apps.RunMemcached)
+}
+
+func (o Options) apache(cfg kernel.Config, cores int, single bool) cell {
 	opts := apps.DefaultApacheOpts()
 	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
 	opts.SingleInstance = single
-	return apps.RunApache(k, opts)
+	return appCell(o, "apache", opts, cfg, cores, false, apps.RunApache)
 }
 
-func runPostgres(cfg kernel.Config, cores int, writeFrac float64, mod bool, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
+func (o Options) postgres(cfg kernel.Config, cores int, writeFrac float64, mod bool) cell {
 	opts := apps.DefaultPostgresOpts()
 	opts.QueriesPerCore = scale(opts.QueriesPerCore, o.Quick)
 	opts.WriteFraction = writeFrac
 	opts.ModPG = mod
 	opts.Placement = o.Placement
-	return apps.RunPostgres(k, opts)
+	return appCell(o, "postgres", opts, cfg, cores, false, apps.RunPostgres)
 }
 
-func runGmake(cfg kernel.Config, cores int, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
+func (o Options) gmake(cfg kernel.Config, cores int) cell {
 	opts := apps.DefaultGmakeOpts()
 	opts.Objects = scale(opts.Objects, o.Quick)
 	opts.Placement = o.Placement
-	return apps.RunGmake(k, opts)
+	return appCell(o, "gmake", opts, cfg, cores, false, apps.RunGmake)
 }
 
-func runPedsort(mode apps.PedsortMode, cores int, o Options) apps.Result {
-	m := o.topo(cores)
-	if mode == apps.PedsortProcsRR {
-		m = o.topoRR(cores)
-	}
-	k := o.newKernel(m, kernel.Stock())
+func (o Options) pedsort(mode apps.PedsortMode, cores int) cell {
 	opts := apps.DefaultPedsortOpts()
 	opts.Files = scale(opts.Files, o.Quick)
 	opts.Mode = mode
 	opts.Placement = o.Placement
-	return apps.RunPedsort(k, opts)
+	return appCell(o, "pedsort", opts, kernel.Stock(), cores, mode == apps.PedsortProcsRR, apps.RunPedsort)
 }
 
-func runMetis(super bool, cores int, o Options) apps.Result {
-	cfg := kernel.Stock()
-	if super {
-		cfg = kernel.PK()
-	}
-	k := o.newKernel(o.topoRR(cores), cfg)
+// metis runs the MapReduce job on cfg with 4KB or 2MB (super) pages, its
+// workers filled round-robin across chips.
+func (o Options) metis(cfg kernel.Config, super bool, cores int) cell {
 	opts := apps.DefaultMetisOpts()
 	if o.Quick {
 		opts.InputBytes /= 4
 	}
 	opts.SuperPages = super
 	opts.Placement = o.Placement
-	return apps.RunMetis(k, opts)
+	return appCell(o, "metis", opts, cfg, cores, true, apps.RunMetis)
 }
 
-// stockPK runs a two-variant (Stock vs PK) sweep, plus any registered
-// extra variants (a figure's own placement curve, say).
+// figMetis is Figure 11's pairing: 4KB pages on stock, 2MB pages on PK.
+func (o Options) figMetis(super bool, cores int) cell {
+	if super {
+		return o.metis(kernel.PK(), true, cores)
+	}
+	return o.metis(kernel.Stock(), false, cores)
+}
+
+// stockPK runs a two-variant (Stock vs PK) sweep of one application, plus
+// any registered extra variants (a figure's own placement curve, say).
 func stockPK(o Options, unit string, id, title string,
-	run func(cfg kernel.Config, cores int, o Options) apps.Result, perCoreScale float64,
-	extras ...variantRun) *Series {
+	mk func(o Options, cfg kernel.Config, cores int) cell, extras ...variantRun) *Series {
 
 	s := &Series{ID: id, Title: title, Unit: unit}
-	var runs []variantRun
-	for _, cfgv := range []struct {
-		name string
-		cfg  kernel.Config
-	}{{"Stock", kernel.Stock()}, {"PK", kernel.PK()}} {
-		cfgv := cfgv
-		runs = append(runs, variantRun{cfgv.name, func(c int, o Options) Point {
-			return point(run(cfgv.cfg, c, o), cfgv.name, perCoreScale)
-		}})
+	runs := []variantRun{
+		{"Stock", func(c int) cell { return mk(o, kernel.Stock(), c) }},
+		{"PK", func(c int) cell { return mk(o, kernel.PK(), c) }},
 	}
-	runs = append(runs, extras...)
-	o.sweepPoints(s, grid(o.cores(), runs))
+	o.sweepPoints(s, grid(o.cores(), append(runs, extras...)))
 	return s
+}
+
+// striped returns o with bulk data striped across every chip, for the
+// figures' registered placement curves.
+func (o Options) striped() Options {
+	o.Placement = mem.Placement{Kind: mem.PlaceStriped}
+	return o
 }
 
 // ---- Experiment registrations ----
@@ -154,149 +166,118 @@ func init() {
 	})
 
 	register(Experiment{
-		ID:      "fig3",
-		Title:   "MOSBENCH summary: 48-core per-core throughput relative to 1 core",
-		Paper:   "Figure 3: one bar pair (stock, PK) per application",
-		Domains: withAllApps(),
-		Run:     runFig3,
+		ID:    "fig3",
+		Title: "MOSBENCH summary: 48-core per-core throughput relative to 1 core",
+		Paper: "Figure 3: one bar pair (stock, PK) per application",
+		Run:   runFig3,
 	})
 
 	register(Experiment{
-		ID:      "fig4",
-		Title:   "Exim throughput and runtime breakdown",
-		Paper:   "Figure 4: messages/sec/core and CPU us/message vs cores",
-		Domains: withApps("exim"),
+		ID:    "fig4",
+		Title: "Exim throughput and runtime breakdown",
+		Paper: "Figure 4: messages/sec/core and CPU us/message vs cores",
 		Run: func(o Options) *Series {
-			return stockPK(o, "msg/s/core", "fig4", "Exim (Figure 4)", runExim, 1)
+			return stockPK(o, "msg/s/core", "fig4", "Exim (Figure 4)", Options.exim)
 		},
 	})
 
 	register(Experiment{
-		ID:      "fig5",
-		Title:   "memcached throughput",
-		Paper:   "Figure 5: requests/sec/core vs cores",
-		Domains: withApps("memcached"),
+		ID:    "fig5",
+		Title: "memcached throughput",
+		Paper: "Figure 5: requests/sec/core vs cores",
 		Run: func(o Options) *Series {
-			return stockPK(o, "req/s/core", "fig5", "memcached (Figure 5)", runMemcached, 1)
+			return stockPK(o, "req/s/core", "fig5", "memcached (Figure 5)", Options.memcached)
 		},
 	})
 
 	register(Experiment{
-		ID:      "fig6",
-		Title:   "Apache throughput and runtime breakdown",
-		Paper:   "Figure 6: requests/sec/core and CPU us/request vs cores",
-		Domains: withApps("apache"),
+		ID:    "fig6",
+		Title: "Apache throughput and runtime breakdown",
+		Paper: "Figure 6: requests/sec/core and CPU us/request vs cores",
 		Run: func(o Options) *Series {
-			s := &Series{ID: "fig6", Title: "Apache (Figure 6)", Unit: "req/s/core"}
+			// Stock: one instance per core on distinct ports (§5.4); PK: one
+			// instance serving every core.
+			return stockPK(o, "req/s/core", "fig6", "Apache (Figure 6)", func(o Options, cfg kernel.Config, c int) cell {
+				return o.apache(cfg, c, cfg.ParallelAccept)
+			})
+		},
+	})
+
+	register(Experiment{
+		ID:    "fig7",
+		Title: "PostgreSQL read-only workload",
+		Paper: "Figure 7: queries/sec/core and CPU us/query vs cores",
+		Run:   func(o Options) *Series { return runPostgresFig(o, "fig7", 0) },
+	})
+
+	register(Experiment{
+		ID:    "fig8",
+		Title: "PostgreSQL 95%/5% read/write workload",
+		Paper: "Figure 8: queries/sec/core and CPU us/query vs cores",
+		Run:   func(o Options) *Series { return runPostgresFig(o, "fig8", 0.05) },
+	})
+
+	register(Experiment{
+		ID:    "fig9",
+		Title: "gmake parallel kernel build",
+		Paper: "Figure 9: builds/hour/core and CPU sec/build vs cores, plus a striped-placement PK curve",
+		Run: func(o Options) *Series {
+			// Builds/hour/core: scale jobs/sec/core by 3600. The registered
+			// placement variant mirrors fig11's: the PK build with its
+			// object stream striped across every chip, so the figure shows
+			// placement's effect without a second -placement run.
+			gmake := func(o Options, cfg kernel.Config, c int) cell { return o.gmake(cfg, c).scaled(3600) }
+			return stockPK(o, "builds/hr/core", "fig9", "gmake (Figure 9)", gmake,
+				variantRun{"PK + striped", func(c int) cell { return gmake(o.striped(), kernel.PK(), c) }})
+		},
+	})
+
+	register(Experiment{
+		ID:    "fig10",
+		Title: "Psearchy/pedsort file indexing",
+		Paper: "Figure 10: jobs/hour/core for Threads, Procs, Procs RR, plus a striped-placement RR curve",
+		Run: func(o Options) *Series {
+			s := &Series{ID: "fig10", Title: "pedsort (Figure 10)", Unit: "jobs/hr/core"}
+			var runs []variantRun
+			for _, mode := range []apps.PedsortMode{apps.PedsortThreads, apps.PedsortProcs, apps.PedsortProcsRR} {
+				runs = append(runs, variantRun{mode.String(), func(c int) cell { return o.pedsort(mode, c).scaled(3600) }})
+			}
+			// Registered placement variant, like fig11's: the round-robin
+			// configuration with its file streams striped across every
+			// chip's memory controller.
+			runs = append(runs, variantRun{"Procs RR + striped", func(c int) cell {
+				return o.striped().pedsort(apps.PedsortProcsRR, c).scaled(3600)
+			}})
+			o.sweepPoints(s, grid(o.cores(), runs))
+			return s
+		},
+	})
+
+	register(Experiment{
+		ID:    "fig11",
+		Title: "Metis MapReduce inverted index",
+		Paper: "Figure 11: jobs/hour/core for 4KB stock vs 2MB PK, plus a striped-placement PK curve",
+		Run: func(o Options) *Series {
+			s := &Series{ID: "fig11", Title: "Metis (Figure 11)", Unit: "jobs/hr/core"}
 			o.sweepPoints(s, grid(o.cores(), []variantRun{
-				// Stock: one instance per core on distinct ports (§5.4).
-				{"Stock", func(c int, o Options) Point {
-					return point(runApache(kernel.Stock(), c, false, o), "Stock", 1)
-				}},
-				{"PK", func(c int, o Options) Point {
-					return point(runApache(kernel.PK(), c, true, o), "PK", 1)
-				}},
+				{"Stock + 4KB pages", func(c int) cell { return o.figMetis(false, c).scaled(3600) }},
+				{"PK + 2MB pages", func(c int) cell { return o.figMetis(true, c).scaled(3600) }},
+				// Registered placement variant: the same PK configuration
+				// with its reduce stream striped across every chip, so the
+				// figure itself shows what placement does to the curve
+				// instead of requiring a second run with the global
+				// -placement knob.
+				{"PK + 2MB striped", func(c int) cell { return o.striped().figMetis(true, c).scaled(3600) }},
 			}))
 			return s
 		},
 	})
 
 	register(Experiment{
-		ID:      "fig7",
-		Title:   "PostgreSQL read-only workload",
-		Paper:   "Figure 7: queries/sec/core and CPU us/query vs cores",
-		Domains: withApps("postgres"),
-		Run:     func(o Options) *Series { return runPostgresFig(o, "fig7", 0) },
-	})
-
-	register(Experiment{
-		ID:      "fig8",
-		Title:   "PostgreSQL 95%/5% read/write workload",
-		Paper:   "Figure 8: queries/sec/core and CPU us/query vs cores",
-		Domains: withApps("postgres"),
-		Run:     func(o Options) *Series { return runPostgresFig(o, "fig8", 0.05) },
-	})
-
-	register(Experiment{
-		ID:      "fig9",
-		Title:   "gmake parallel kernel build",
-		Paper:   "Figure 9: builds/hour/core and CPU sec/build vs cores, plus a striped-placement PK curve",
-		Domains: withApps("gmake"),
-		Run: func(o Options) *Series {
-			// Builds/hour/core: scale jobs/sec/core by 3600. The registered
-			// placement variant mirrors fig11's: the PK build with its
-			// object stream striped across every chip, so the figure shows
-			// placement's effect without a second -placement run.
-			return stockPK(o, "builds/hr/core", "fig9", "gmake (Figure 9)", runGmake, 3600,
-				variantRun{"PK + striped", func(c int, o Options) Point {
-					o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-					return point(runGmake(kernel.PK(), c, o), "PK + striped", 3600)
-				}})
-		},
-	})
-
-	register(Experiment{
-		ID:      "fig10",
-		Title:   "Psearchy/pedsort file indexing",
-		Paper:   "Figure 10: jobs/hour/core for Threads, Procs, Procs RR, plus a striped-placement RR curve",
-		Domains: withApps("pedsort"),
-		Run: func(o Options) *Series {
-			s := &Series{ID: "fig10", Title: "pedsort (Figure 10)", Unit: "jobs/hr/core"}
-			var runs []variantRun
-			for _, mode := range []apps.PedsortMode{apps.PedsortThreads, apps.PedsortProcs, apps.PedsortProcsRR} {
-				mode := mode
-				runs = append(runs, variantRun{mode.String(), func(c int, o Options) Point {
-					return point(runPedsort(mode, c, o), mode.String(), 3600)
-				}})
-			}
-			// Registered placement variant, like fig11's: the round-robin
-			// configuration with its file streams striped across every
-			// chip's memory controller.
-			runs = append(runs, variantRun{"Procs RR + striped", func(c int, o Options) Point {
-				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-				return point(runPedsort(apps.PedsortProcsRR, c, o), "Procs RR + striped", 3600)
-			}})
-			o.sweepPoints(s, grid(o.cores(), runs))
-			return s
-		},
-	})
-
-	register(Experiment{
-		ID:      "fig11",
-		Title:   "Metis MapReduce inverted index",
-		Paper:   "Figure 11: jobs/hour/core for 4KB stock vs 2MB PK, plus a striped-placement PK curve",
-		Domains: withApps("metis"),
-		Run: func(o Options) *Series {
-			s := &Series{ID: "fig11", Title: "Metis (Figure 11)", Unit: "jobs/hr/core"}
-			var runs []variantRun
-			for _, super := range []bool{false, true} {
-				super, name := super, "Stock + 4KB pages"
-				if super {
-					name = "PK + 2MB pages"
-				}
-				runs = append(runs, variantRun{name, func(c int, o Options) Point {
-					return point(runMetis(super, c, o), name, 3600)
-				}})
-			}
-			// Registered placement variant: the same PK configuration with
-			// its reduce stream striped across every chip, so the figure
-			// itself shows what placement does to the curve instead of
-			// requiring a second run with the global -placement knob.
-			runs = append(runs, variantRun{"PK + 2MB striped", func(c int, o Options) Point {
-				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-				return point(runMetis(true, c, o), "PK + 2MB striped", 3600)
-			}})
-			o.sweepPoints(s, grid(o.cores(), runs))
-			return s
-		},
-	})
-
-	register(Experiment{
-		ID:      "fig12",
-		Title:   "Remaining MOSBENCH bottlenecks at 48 cores on PK",
-		Paper:   "Figure 12: residual bottleneck attribution (App vs HW)",
-		Domains: withAllApps(),
-		Run:     runFig12,
+		ID:    "fig12",
+		Title: "Remaining MOSBENCH bottlenecks at 48 cores on PK",
+		Paper: "Figure 12: residual bottleneck attribution (App vs HW)",
+		Run:   runFig12,
 	})
 }
 
@@ -307,7 +288,8 @@ func runPostgresFig(o Options, id string, writeFrac float64) *Series {
 		title = "PostgreSQL 95/5 read/write (Figure 8)"
 	}
 	s := &Series{ID: id, Title: title, Unit: "q/s/core"}
-	variants := []struct {
+	var runs []variantRun
+	for _, v := range []struct {
 		name string
 		cfg  kernel.Config
 		mod  bool
@@ -315,16 +297,49 @@ func runPostgresFig(o Options, id string, writeFrac float64) *Series {
 		{"Stock", kernel.Stock(), false},
 		{"Stock + mod PG", kernel.Stock(), true},
 		{"PK + mod PG", kernel.PK(), true},
-	}
-	var runs []variantRun
-	for _, v := range variants {
-		v := v
-		runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
-			return point(runPostgres(v.cfg, c, writeFrac, v.mod, o), v.name, 1)
-		}})
+	} {
+		runs = append(runs, variantRun{v.name, func(c int) cell { return o.postgres(v.cfg, c, writeFrac, v.mod) }})
 	}
 	o.sweepPoints(s, grid(o.cores(), runs))
 	return s
+}
+
+// suiteApp is one MOSBENCH application as the summary figures (3, 12)
+// run it: its stock and PK configurations, and the paper's attribution of
+// its residual bottleneck on PK.
+type suiteApp struct {
+	name, attribution string
+	stock, pk         func(cores int) cell
+}
+
+// suite lists the applications in Figure 3's order. Each runs exactly as
+// its own figure runs it (fig4–fig9's Stock and PK curves, fig10's Threads
+// and Procs RR, fig11's 4KB and 2MB pages), so the summary cells are that
+// figure's cells.
+func (o Options) suite() []suiteApp {
+	return []suiteApp{
+		{"Exim", "App: Contention on spool directories",
+			func(c int) cell { return o.exim(kernel.Stock(), c) },
+			func(c int) cell { return o.exim(kernel.PK(), c) }},
+		{"memcached", "HW: Transmit queues on NIC",
+			func(c int) cell { return o.memcached(kernel.Stock(), c) },
+			func(c int) cell { return o.memcached(kernel.PK(), c) }},
+		{"Apache", "HW: Receive queues on NIC",
+			func(c int) cell { return o.apache(kernel.Stock(), c, false) },
+			func(c int) cell { return o.apache(kernel.PK(), c, true) }},
+		{"PostgreSQL", "App: Application-level spin lock",
+			func(c int) cell { return o.postgres(kernel.Stock(), c, 0, false) },
+			func(c int) cell { return o.postgres(kernel.PK(), c, 0, true) }},
+		{"gmake", "App: Serial stages and stragglers",
+			func(c int) cell { return o.gmake(kernel.Stock(), c) },
+			func(c int) cell { return o.gmake(kernel.PK(), c) }},
+		{"pedsort", "HW: Cache capacity",
+			func(c int) cell { return o.pedsort(apps.PedsortThreads, c) },
+			func(c int) cell { return o.pedsort(apps.PedsortProcsRR, c) }},
+		{"Metis", "HW: DRAM throughput",
+			func(c int) cell { return o.figMetis(false, c) },
+			func(c int) cell { return o.figMetis(true, c) }},
+	}
 }
 
 // runFig3 computes the summary bars: per-core throughput at 48 cores
@@ -333,52 +348,23 @@ func runFig3(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "fig3", Title: "MOSBENCH summary (Figure 3)",
 		Unit: fmt.Sprintf("ratio %dc/1c", max)}
-	type appRun struct {
-		name  string
-		stock func(cores int, o Options) apps.Result
-		pk    func(cores int, o Options) apps.Result
-	}
-	appsList := []appRun{
-		{"Exim",
-			func(c int, o Options) apps.Result { return runExim(kernel.Stock(), c, o) },
-			func(c int, o Options) apps.Result { return runExim(kernel.PK(), c, o) }},
-		{"memcached",
-			func(c int, o Options) apps.Result { return runMemcached(kernel.Stock(), c, o) },
-			func(c int, o Options) apps.Result { return runMemcached(kernel.PK(), c, o) }},
-		{"Apache",
-			func(c int, o Options) apps.Result { return runApache(kernel.Stock(), c, false, o) },
-			func(c int, o Options) apps.Result { return runApache(kernel.PK(), c, true, o) }},
-		{"PostgreSQL",
-			func(c int, o Options) apps.Result { return runPostgres(kernel.Stock(), c, 0, false, o) },
-			func(c int, o Options) apps.Result { return runPostgres(kernel.PK(), c, 0, true, o) }},
-		{"gmake",
-			func(c int, o Options) apps.Result { return runGmake(kernel.Stock(), c, o) },
-			func(c int, o Options) apps.Result { return runGmake(kernel.PK(), c, o) }},
-		{"pedsort",
-			func(c int, o Options) apps.Result { return runPedsort(apps.PedsortThreads, c, o) },
-			func(c int, o Options) apps.Result { return runPedsort(apps.PedsortProcsRR, c, o) }},
-		{"Metis",
-			func(c int, o Options) apps.Result { return runMetis(false, c, o) },
-			func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
-	}
+	suite := o.suite()
 	s.Notes = append(s.Notes, "Table rows are applications, in Figure 3's order:")
 	// Each application needs four measurements (stock/PK at 1 and max
 	// cores), each its own cell.
 	var cells []cell
-	for _, a := range appsList {
+	for _, a := range suite {
 		for _, v := range []struct {
 			label string
-			run   func(cores int, o Options) apps.Result
+			at    func(cores int) cell
 		}{{a.name + "/Stock", a.stock}, {a.name + "/PK", a.pk}} {
 			for _, cores := range []int{1, max} {
-				cells = append(cells, cell{v.label, cores, func(co Options) Point {
-					return point(v.run(cores, co), v.label, 1)
-				}})
+				cells = append(cells, v.at(cores).as(v.label, cores))
 			}
 		}
 	}
 	results, errs := o.sweep(s, cells)
-	for i, a := range appsList {
+	for i, a := range suite {
 		if why := rowSkipReason(errs[i*4 : i*4+4]); why != "" {
 			s.Notes = append(s.Notes, fmt.Sprintf("  row %d: %-12s skipped: %s", i+1, a.name, why))
 			continue
@@ -403,44 +389,23 @@ func runFig12(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "fig12",
 		Title: fmt.Sprintf("Remaining bottlenecks at %d cores (Figure 12)", max)}
-	type row struct {
-		app, attribution string
-		run              func(cores int, o Options) apps.Result
-	}
-	rows := []row{
-		{"Exim", "App: Contention on spool directories",
-			func(c int, o Options) apps.Result { return runExim(kernel.PK(), c, o) }},
-		{"memcached", "HW: Transmit queues on NIC",
-			func(c int, o Options) apps.Result { return runMemcached(kernel.PK(), c, o) }},
-		{"Apache", "HW: Receive queues on NIC",
-			func(c int, o Options) apps.Result { return runApache(kernel.PK(), c, true, o) }},
-		{"PostgreSQL", "App: Application-level spin lock",
-			func(c int, o Options) apps.Result { return runPostgres(kernel.PK(), c, 0, true, o) }},
-		{"gmake", "App: Serial stages and stragglers",
-			func(c int, o Options) apps.Result { return runGmake(kernel.PK(), c, o) }},
-		{"pedsort", "HW: Cache capacity",
-			func(c int, o Options) apps.Result { return runPedsort(apps.PedsortProcsRR, c, o) }},
-		{"Metis", "HW: DRAM throughput",
-			func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
-	}
-	// Two measurements per row: 1 and max cores.
+	suite := o.suite()
+	// Two measurements per row, both on PK: 1 and max cores.
 	var cells []cell
-	for _, r := range rows {
+	for _, a := range suite {
 		for _, cores := range []int{1, max} {
-			cells = append(cells, cell{r.app, cores, func(co Options) Point {
-				return point(r.run(cores, co), r.app, 1)
-			}})
+			cells = append(cells, a.pk(cores).as(a.name, cores))
 		}
 	}
 	pts, errs := o.sweep(s, cells)
-	for i, r := range rows {
+	for i, a := range suite {
 		if why := rowSkipReason(errs[i*2 : i*2+2]); why != "" {
-			s.Notes = append(s.Notes, fmt.Sprintf("%-12s %-42s skipped: %s", r.app, r.attribution, why))
+			s.Notes = append(s.Notes, fmt.Sprintf("%-12s %-42s skipped: %s", a.name, a.attribution, why))
 			continue
 		}
 		retained := pts[i*2+1].PerCore / pts[i*2].PerCore
 		s.Notes = append(s.Notes,
-			fmt.Sprintf("%-12s %-42s per-core retention at %dc: %.2f", r.app, r.attribution, max, retained))
+			fmt.Sprintf("%-12s %-42s per-core retention at %dc: %.2f", a.name, a.attribution, max, retained))
 	}
 	return s
 }

@@ -19,51 +19,45 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:      "profile",
-		Title:   "Contention profile of the stock kernel under Exim and memcached",
-		Paper:   "the paper's methodology: find the locks and lines cores wait on (§1, §5.2, §5.3)",
-		Domains: withApps("exim", "memcached"),
-		Run:     runProfile,
+		ID:    "profile",
+		Title: "Contention profile of the stock kernel under Exim and memcached",
+		Paper: "the paper's methodology: find the locks and lines cores wait on (§1, §5.2, §5.3)",
+		Run:   runProfile,
 	})
 
 	register(Experiment{
-		ID:      "sloppy-threshold",
-		Title:   "Sloppy counter spare-threshold sweep",
-		Paper:   "§4.3 design choice: local spares trade space for central-counter traffic",
-		Domains: []string{"topo", "mem", "kernel"},
-		Run:     runSloppyThreshold,
+		ID:    "sloppy-threshold",
+		Title: "Sloppy counter spare-threshold sweep",
+		Paper: "§4.3 design choice: local spares trade space for central-counter traffic",
+		Run:   runSloppyThreshold,
 	})
 
 	register(Experiment{
-		ID:      "spool-dirs",
-		Title:   "Exim spool directory sweep on PK at 48 cores",
-		Paper:   "§5.2: the residual Exim bottleneck is per-directory create locks",
-		Domains: withApps("exim"),
-		Run:     runSpoolDirs,
+		ID:    "spool-dirs",
+		Title: "Exim spool directory sweep on PK at 48 cores",
+		Paper: "§5.2: the residual Exim bottleneck is per-directory create locks",
+		Run:   runSpoolDirs,
 	})
 
 	register(Experiment{
-		ID:      "lockmgr",
-		Title:   "PostgreSQL lock-manager mutex count sweep (stock kernel, r/w)",
-		Paper:   "§5.5: 16 mutexes cause false contention; modPG uses 1024 + lock-free path",
-		Domains: withApps("postgres"),
-		Run:     runLockMgr,
+		ID:    "lockmgr",
+		Title: "PostgreSQL lock-manager mutex count sweep (stock kernel, r/w)",
+		Paper: "§5.5: 16 mutexes cause false contention; modPG uses 1024 + lock-free path",
+		Run:   runLockMgr,
 	})
 
 	register(Experiment{
-		ID:      "steering",
-		Title:   "Flow-director misdirection sweep for short connections",
-		Paper:   "§4.2: sampling misdirects most packets of short connections",
-		Domains: []string{"topo", "mem", "kernel"},
-		Run:     runSteering,
+		ID:    "steering",
+		Title: "Flow-director misdirection sweep for short connections",
+		Paper: "§4.2: sampling misdirects most packets of short connections",
+		Run:   runSteering,
 	})
 
 	register(Experiment{
-		ID:      "scalable-locks",
-		Title:   "Scalable (MCS) lock vs data refactoring on the mount table",
-		Paper:   "§4.1/[41]: better locks alone cannot fix shared-data bottlenecks",
-		Domains: withApps("exim"),
-		Run:     runScalableLocks,
+		ID:    "scalable-locks",
+		Title: "Scalable (MCS) lock vs data refactoring on the mount table",
+		Paper: "§4.1/[41]: better locks alone cannot fix shared-data bottlenecks",
+		Run:   runScalableLocks,
 	})
 }
 
@@ -97,25 +91,10 @@ func runScalableLocks(o Options) *Series {
 	max := o.maxCores()
 	var cells []cell
 	for _, v := range variants {
-		cells = append(cells, cell{v.name, max, func(co Options) Point {
-			return cpuPoint(runExim(v.cfg, max, co), v.name, max)
-		}})
+		cells = append(cells, o.exim(v.cfg, max).cpu(max).as(v.name, max))
 	}
 	o.sweepPoints(s, cells)
 	return s
-}
-
-// cpuPoint is a fixed-cores parameter sweep's point: per-core throughput
-// and the CPU breakdown, without point's memory-system and open-loop
-// columns.
-func cpuPoint(r apps.Result, variant string, cores int) Point {
-	return Point{
-		Cores:      cores,
-		Variant:    variant,
-		PerCore:    r.PerCore(),
-		UserMicros: r.UserMicrosPerOp(),
-		SysMicros:  r.SysMicrosPerOp(),
-	}
 }
 
 // runProfile reproduces the paper's diagnosis step: run a stock kernel
@@ -126,22 +105,22 @@ func runProfile(o Options) *Series {
 	s := &Series{ID: "profile",
 		Title: fmt.Sprintf("Stock-kernel contention profile at %d cores", max)}
 	workloads := []string{"Exim", "memcached"}
-	var cells []cell
-	for _, app := range workloads {
-		cells = append(cells, cell{app, max, func(co Options) Point {
-			k := co.newKernel(co.topo(max), kernel.Stock())
-			if app == "Exim" {
-				opts := apps.DefaultEximOpts()
-				opts.MessagesPerCore = scale(opts.MessagesPerCore, co.Quick)
-				apps.RunExim(k, opts)
-			} else {
-				opts := apps.DefaultMemcachedOpts()
-				opts.RequestsPerCore = scale(opts.RequestsPerCore, co.Quick)
-				opts.UseNIC = false
-				apps.RunMemcached(k, opts)
-			}
-			return Point{Cores: max, Variant: app, Metrics: profileMetrics(k.MD.Prof, 6)}
-		}})
+	// profiled is the cell that runs app with opts on the stock kernel and
+	// reports its top locks and lines instead of its throughput.
+	profiled := func(app string, opts any, run func(k *kernel.Kernel)) cell {
+		stock := kernel.Stock()
+		return o.newCell(spec{workload: app, measure: "profile", opts: fmt.Sprintf("%+v", opts),
+			cfg: &stock, cores: max, domains: domainsFor(app)}, func(co Options, sp *spec) Point {
+			k := co.boot(sp)
+			run(k)
+			return Point{Cores: max, Metrics: profileMetrics(k.MD.Prof, 6)}
+		})
+	}
+	eximOpts, memcachedOpts := o.eximOpts(), o.memcachedOpts()
+	memcachedOpts.UseNIC = false
+	cells := []cell{
+		profiled("exim", eximOpts, func(k *kernel.Kernel) { apps.RunExim(k, eximOpts) }).as(workloads[0], max),
+		profiled("memcached", memcachedOpts, func(k *kernel.Kernel) { apps.RunMemcached(k, memcachedOpts) }).as(workloads[1], max),
 	}
 	pts, errs := o.sweep(s, cells)
 	for i, app := range workloads {
@@ -206,10 +185,10 @@ func runSloppyThreshold(o Options) *Series {
 	thresholds := []int64{1, 2, 4, 8, 16, 64}
 	var cells []cell
 	for _, threshold := range thresholds {
-		variant := fmt.Sprintf("threshold=%d", threshold)
-		cells = append(cells, cell{variant, max, func(co Options) Point {
-			m := co.topo(max)
-			e := co.newEngine(m)
+		cells = append(cells, o.newCell(spec{workload: "sloppy-churn",
+			opts:  fmt.Sprintf("threshold=%d,churn=%d,batch=%d", threshold, churn, batch),
+			cores: max, domains: kernelDomains}, func(co Options, sp *spec) Point {
+			e, m := co.engine(sp)
 			md := mem.NewModel(m)
 			ctr := scount.NewSloppy(md, 0)
 			ctr.Threshold = threshold
@@ -225,12 +204,11 @@ func runSloppyThreshold(o Options) *Series {
 			e.Run()
 			return Point{
 				Cores:   max,
-				Variant: variant,
 				PerCore: float64(max*churn) / secsFor(m, e.Now()) / float64(max),
 				Metrics: []Metric{{"counter:central/ops", float64(ctr.CentralOps())},
 					{"counter:local/ops", float64(ctr.LocalOps())}},
 			}
-		}})
+		}).as(fmt.Sprintf("threshold=%d", threshold), max))
 	}
 	pts, errs := o.sweepPoints(s, cells)
 	for i, threshold := range thresholds {
@@ -253,14 +231,10 @@ func runSpoolDirs(o Options) *Series {
 		Unit:  "msg/s/core"}
 	var cells []cell
 	for _, dirs := range []int{1, 2, 4, 8, 16, 62, 256} {
-		variant := fmt.Sprintf("dirs=%d", dirs)
-		cells = append(cells, cell{variant, max, func(co Options) Point {
-			k := co.newKernel(co.topo(max), kernel.PK())
-			opts := apps.DefaultEximOpts()
-			opts.MessagesPerCore = scale(opts.MessagesPerCore, co.Quick)
-			opts.SpoolDirs = dirs
-			return cpuPoint(apps.RunExim(k, opts), variant, max)
-		}})
+		opts := o.eximOpts()
+		opts.SpoolDirs = dirs
+		cells = append(cells, appCell(o, "exim", opts, kernel.PK(), max, false, apps.RunExim).
+			cpu(max).as(fmt.Sprintf("dirs=%d", dirs), max))
 	}
 	o.sweepPoints(s, cells)
 	return s
@@ -279,15 +253,12 @@ func runLockMgr(o Options) *Series {
 		Unit:  "q/s/core"}
 	var cells []cell
 	for _, n := range []int{1, 4, 16, 64, 1024} {
-		variant := fmt.Sprintf("mutexes=%d", n)
-		cells = append(cells, cell{variant, cores, func(co Options) Point {
-			k := co.newKernel(co.topo(cores), kernel.Stock())
-			opts := apps.DefaultPostgresOpts()
-			opts.QueriesPerCore = scale(opts.QueriesPerCore, co.Quick)
-			opts.WriteFraction = 0.05
-			opts.LockMutexes = n
-			return cpuPoint(apps.RunPostgres(k, opts), variant, cores)
-		}})
+		opts := apps.DefaultPostgresOpts()
+		opts.QueriesPerCore = scale(opts.QueriesPerCore, o.Quick)
+		opts.WriteFraction = 0.05
+		opts.LockMutexes = n
+		cells = append(cells, appCell(o, "postgres", opts, kernel.Stock(), cores, false, apps.RunPostgres).
+			cpu(cores).as(fmt.Sprintf("mutexes=%d", n), cores))
 	}
 	o.sweepPoints(s, cells)
 	s.Notes = append(s.Notes,
@@ -307,19 +278,18 @@ func runSteering(o Options) *Series {
 	s := &Series{ID: "steering",
 		Title: fmt.Sprintf("Flow-director misdirection (sampled steering, %d cores)", cores),
 		Unit:  "req/s/core"}
+	cfg := kernel.PK()
+	cfg.ParallelAccept = false // sampled steering, shared backlog
+	reqs := scale(150, o.Quick)
 	var cells []cell
 	for _, prob := range []float64{0.001, 0.2, 0.4, 0.6, 0.8} {
-		variant := fmt.Sprintf("misdirect=%.0f%%", prob*100)
-		cells = append(cells, cell{variant, cores, func(co Options) Point {
-			m := co.topo(cores)
-			cfg := kernel.PK()
-			cfg.ParallelAccept = false // sampled steering, shared backlog
-			k := co.newKernel(m, cfg)
+		cells = append(cells, o.newCell(spec{workload: "steering", opts: fmt.Sprintf("misdirect=%g,reqs=%d", prob, reqs),
+			cfg: &cfg, cores: cores, domains: kernelDomains}, func(co Options, sp *spec) Point {
+			k := co.boot(sp)
 			netCfg := cfg.Net()
 			netCfg.MisdirectProb = prob
 			stack := netsim.NewStack(k.MD, k.FS, nil, k.DRAM, netCfg)
 			k.FS.MustCreateFile("/www/f", 300)
-			reqs := scale(150, co.Quick)
 			for c := 0; c < cores; c++ {
 				k.Engine.Spawn(c, fmt.Sprintf("srv-%d", c), 0, func(p *sim.Proc) {
 					l := stack.Listen(p)
@@ -336,9 +306,9 @@ func runSteering(o Options) *Series {
 				})
 			}
 			k.Engine.Run()
-			tput := float64(cores*reqs) / secsFor(m, k.Engine.Now()) / float64(cores)
-			return Point{Cores: cores, Variant: variant, PerCore: tput}
-		}})
+			tput := float64(cores*reqs) / secsFor(k.Machine, k.Engine.Now()) / float64(cores)
+			return Point{Cores: cores, PerCore: tput}
+		}).as(fmt.Sprintf("misdirect=%.0f%%", prob*100), cores))
 	}
 	o.sweepPoints(s, cells)
 	s.Notes = append(s.Notes,

@@ -121,12 +121,12 @@ type Options struct {
 	// Machine is the simulated host every kernel this run boots: its chip
 	// count, per-chip cores, latencies, rates, and link graph. Nil means
 	// the default machine (the paper's 48-core Tyan S4985). Non-default
-	// machines get their own sweep-point cache sections (see
-	// cacheSectionID), so results for different hosts never alias.
+	// machines get their own sweep-point cache sections (see spec's
+	// section), so results for different hosts never alias.
 	Machine *topo.Machine
 	// Cores is the sweep; nil uses the experiment's default, scaled to the
 	// machine.
-	Cores []int //mosvet:allow cachekeylint selects which points run; each point is keyed by its own core count (cacheKey's cores argument)
+	Cores []int //mosvet:allow cachekeylint selects which points run; each cell's spec carries its own core count
 	// Seed is the deterministic PRNG seed.
 	Seed uint64
 	// Quick shrinks op budgets and the sweep for fast smoke runs.
@@ -142,16 +142,18 @@ type Options struct {
 	// PostgreSQL). The zero value is local placement, the pre-option
 	// behavior.
 	Placement mem.Placement
-	// Cache, when non-nil, memoizes sweep points by (experiment, variant,
-	// cores, seed, quick, placement, fault, arrival, link, shed): hits
-	// skip simulation entirely, and misses are stored so a repeated grid
-	// run is served from the cache.
+	// Cache, when non-nil, memoizes sweep cells by their spec: the
+	// workload and its scaled options, the kernel config, the machine and
+	// its core fill, cores, seed, quick, placement, fault, arrival, link
+	// and shed (see newSpec). Hits skip simulation entirely, misses are
+	// stored, and every experiment that simulates the same spec shares the
+	// one stored point.
 	Cache *Cache //mosvet:allow cachekeylint the cache handle itself; whether points are memoized cannot change what they compute
 	// Fault, when non-nil and non-empty, is the deterministic fault plan
 	// injected into every kernel the experiment boots: degraded or dead HT
 	// links, throttled memory controllers, offlined cores, NIC packet
-	// loss/duplication. The spec's canonical string is part of the sweep
-	// cache key, so faulted points never alias clean ones.
+	// loss/duplication. Its canonical string is a spec term, so faulted
+	// points never alias clean ones.
 	Fault *fault.Spec
 	// PointTimeout is the per-sweep-point wall-clock watchdog; a point
 	// that runs past it is abandoned and reported in Series.Failed. Zero
@@ -168,9 +170,8 @@ type Options struct {
 	// (latload): the arrival process, the client-side link shaper, and
 	// the server's admission policy. Nil means each experiment's default
 	// (poisson arrivals, ideal link, per-variant shedding). Their
-	// canonical strings are part of the sweep cache key, so open-loop
-	// points never alias closed-loop ones. Closed-loop experiments
-	// ignore them.
+	// canonical strings are spec terms, so open-loop points never alias
+	// closed-loop ones. Closed-loop experiments ignore them.
 	Arrival *load.ArrivalSpec
 	Link    *load.LinkSpec
 	Shed    *load.ShedSpec
@@ -185,10 +186,10 @@ type Options struct {
 	// a crash's cause; results are bit-for-bit identical either way.
 	freshEngines bool //mosvet:allow cachekeylint fresh and reused engines are bit-for-bit identical, pinned by TestEngineReuseDeterminism
 	// slot is the calling sweep worker's pooled engine, set by sweep; nil
-	// only under freshEngines, where newEngine builds a fresh engine.
+	// only under freshEngines, where engine builds a fresh one.
 	slot *engineSlot //mosvet:allow cachekeylint engine pooling handle; reuse is bit-for-bit identical to fresh engines
 	// slotGen pins the slot generation this Options was issued under; a
-	// stale generation (the watchdog abandoned the slot) makes newEngine
+	// stale generation (the watchdog abandoned the slot) makes engine
 	// fall back to a throwaway engine. See engineSlot.
 	slotGen uint64 //mosvet:allow cachekeylint slot-generation guard for the watchdog; selects an engine, never changes results
 }
@@ -278,12 +279,6 @@ func (o Options) machine() *topo.Machine {
 	return topo.Default()
 }
 
-// topo returns the run's machine with n cores enabled (sequential fill).
-func (o Options) topo(n int) *topo.Machine { return o.machine().WithCores(n) }
-
-// topoRR returns the run's machine with n cores enabled, round-robin.
-func (o Options) topoRR(n int) *topo.Machine { return o.machine().WithCoresRR(n) }
-
 // maxCores is the run's full-machine core count (48 on the default).
 func (o Options) maxCores() int { return o.machine().MaxCores() }
 
@@ -304,51 +299,41 @@ func (o Options) seed() uint64 {
 	return o.Seed
 }
 
-// cell is one sweep point: run measures it, and (variant, cores)
-// identifies it. The pair keys the sweep-point cache, decides which shard
-// owns the point, and names it in Series.Failed, so it must be unique
-// within the experiment. cores is the point's x-axis value; an experiment
-// whose axis is not a core count (degrade's severity percent, latload's
-// offered-load percent) puts that value here, and run pins the simulated
-// core count itself.
-type cell struct {
-	variant string
-	cores   int
-	run     func(o Options) Point
-}
-
-// variantRun is one labeled curve of a grid experiment, run at each value
-// of the grid's axis.
-type variantRun struct {
-	name string
-	run  func(cores int, o Options) Point
-}
-
-// grid builds the variants × axis cell list, grouped by variant with the
-// axis in the given order — the order nested serial loops would produce.
-func grid(axis []int, runs []variantRun) []cell {
-	cells := make([]cell, 0, len(runs)*len(axis))
-	for _, vr := range runs {
-		for _, c := range axis {
-			cells = append(cells, cell{vr.name, c, func(o Options) Point { return vr.run(c, o) }})
+// sweep is the harness's one way to compute Points. Each distinct spec
+// among cells runs once, however many cells ask for it, and every cell
+// asking for it gets that one result (or its error) through its own view
+// and label. A spec runs through safeCachedPoint, so it is served from
+// o.Cache when possible, skipped when another shard owns it, and
+// crash-isolated: a spec that panics twice or wedges past the watchdog
+// lands in s.Failed, once per cell that asked for it, instead of killing
+// the sweep. Unless o.Serial, the specs run concurrently across GOMAXPROCS
+// workers, each holding one pooled engine slot from the arena (unless
+// o.freshEngines), so a whole grid reuses at most GOMAXPROCS engines.
+// Results come back by cell index, which makes them independent of
+// execution order; a shard-skipped cell's error is errShardSkipped, and it
+// appears in neither the points nor s.Failed.
+func (o Options) sweep(s *Series, cells []cell) ([]Point, []error) {
+	// runs[j] is the first cell of the j-th distinct spec; of[i] is the
+	// index in runs of cell i's spec. With a cache attached, fps holds each
+	// section's cost-model fingerprint, computed once per call.
+	var runs []int
+	of := make([]int, len(cells))
+	seen := make(map[string]int, len(cells))
+	fps := map[string]string{}
+	for i, c := range cells {
+		j, ok := seen[c.spec.key]
+		if !ok {
+			j = len(runs)
+			seen[c.spec.key] = j
+			runs = append(runs, i)
+		}
+		of[i] = j
+		if _, ok := fps[c.spec.section]; !ok && o.Cache != nil {
+			fps[c.spec.section] = fingerprintFor(c.spec.section)
 		}
 	}
-	return cells
-}
-
-// sweep is the harness's one way to compute Points. Every cell runs
-// through safeCachedPoint, so each is served from o.Cache when possible,
-// skipped when another shard owns it, and crash-isolated: a cell that
-// panics twice or wedges past the watchdog lands in s.Failed instead of
-// killing the sweep. Unless o.Serial, the cells run concurrently across
-// GOMAXPROCS workers, each holding one pooled engine slot from the arena
-// (unless o.freshEngines), so a whole grid reuses at most GOMAXPROCS
-// engines. Results come back by cell index, which makes them independent
-// of execution order; a shard-skipped cell's error is errShardSkipped,
-// and it appears in neither the points nor s.Failed.
-func (o Options) sweep(s *Series, cells []cell) ([]Point, []error) {
-	pts := make([]Point, len(cells))
-	errs := make([]error, len(cells))
+	raw := make([]Point, len(runs))
+	rawErrs := make([]error, len(runs))
 	var next atomic.Int64
 	work := func() {
 		wo := o
@@ -357,12 +342,12 @@ func (o Options) sweep(s *Series, cells []cell) ([]Point, []error) {
 			defer arena.put(slot)
 			wo.slot, wo.slotGen = slot, slot.generation()
 		}
-		for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
-			c := cells[i]
-			pts[i], errs[i] = wo.safeCachedPoint(s.ID, c.variant, c.cores, c.run)
+		for j := int(next.Add(1)) - 1; j < len(runs); j = int(next.Add(1)) - 1 {
+			c := cells[runs[j]]
+			raw[j], rawErrs[j] = wo.safeCachedPoint(s.ID, c, fps[c.spec.section])
 		}
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(cells))
+	workers := min(runtime.GOMAXPROCS(0), len(runs))
 	if o.Serial || workers <= 1 {
 		work()
 	} else {
@@ -376,9 +361,17 @@ func (o Options) sweep(s *Series, cells []cell) ([]Point, []error) {
 		}
 		wg.Wait()
 	}
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, errShardSkipped) {
-			s.Failed = append(s.Failed, FailedPoint{Variant: cells[i].variant, Cores: cells[i].cores, Err: err.Error()})
+	pts := make([]Point, len(cells))
+	errs := make([]error, len(cells))
+	for i, c := range cells {
+		switch err := rawErrs[of[i]]; {
+		case err == nil:
+			pts[i] = c.project(raw[of[i]])
+		case !errors.Is(err, errShardSkipped):
+			s.Failed = append(s.Failed, FailedPoint{Variant: c.variant, Cores: c.cores, Err: err.Error()})
+			fallthrough
+		default:
+			errs[i] = err
 		}
 	}
 	return pts, errs
@@ -404,14 +397,6 @@ type Experiment struct {
 	Title string
 	// Paper cites what the artifact shows in the paper.
 	Paper string
-	// Domains lists the cost-model domains this experiment's measurements
-	// depend on (see costDomains): "topo", "mem", "kernel", and the
-	// "apps/<name>" domain of every workload it runs. The sweep-point
-	// cache stores the experiment's points under the combined fingerprint
-	// of these domains, so retuning one workload's constants invalidates
-	// only the figures that workload appears in. An empty list is the
-	// conservative default: every domain, so any retune invalidates.
-	Domains []string
 	// Run executes the experiment.
 	Run func(Options) *Series
 }
@@ -422,7 +407,6 @@ var registry []Experiment
 // own: every simulation an experiment runs is a sweep cell, and sweep
 // attaches the workers' pooled engines.
 func register(e Experiment) {
-	checkDomains(e.ID, e.Domains)
 	registry = append(registry, e)
 }
 

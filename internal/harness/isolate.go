@@ -92,25 +92,39 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 	}
 }
 
-// safeCachedPoint is cachedPoint with crash isolation; sweep is its only
-// caller. A point another shard owns returns errShardSkipped unrun.
-// Otherwise the point body runs under runGuarded, a panicking point is
-// retried exactly once on a fresh non-pooled engine, and a second panic
-// or a watchdog timeout yields an error instead of a Point. A panic raised inside a simulated proc's body
-// surfaces from the engine's Run on the guarded goroutine like any other.
-// The pooled engine it left behind stays usable: its next Reset unwinds
-// the parked procs and drops the panicked slot. The fresh-engine retry
-// rules out the arena as the cause rather than repairing it. One crashing
-// point therefore costs exactly that point; the rest of the sweep
-// completes.
-func (o Options) safeCachedPoint(exp, variant string, cores int, f func(o Options) Point) (Point, error) {
-	if !o.shardOwns(o.cacheSectionID(exp), o.cacheKey(variant, cores)) {
+// safeCachedPoint returns c's measurement: unrun when another shard owns
+// its spec (errShardSkipped), from o.Cache on a hit, and otherwise computed
+// by c's body and stored under fp, its section's cost-model fingerprint;
+// sweep is its only caller, and exp names the asking experiment in the
+// cache's stats. The body runs under runGuarded: a panicking body is
+// retried exactly once on a fresh non-pooled engine, and a second panic or
+// a watchdog timeout yields an error instead of a Point. A panic raised
+// inside a simulated proc's body surfaces from the engine's Run on the
+// guarded goroutine like any other. The pooled engine it left behind stays
+// usable: its next Reset unwinds the parked procs and drops the panicked
+// slot. The fresh-engine retry rules out the arena as the cause rather
+// than repairing it. One crashing spec therefore costs exactly its cells;
+// the rest of the sweep completes. A body the watchdog already abandoned
+// never stores its result: the point was reported failed, and a late
+// store would poison reruns with a value no one validated.
+func (o Options) safeCachedPoint(exp string, c cell, fp string) (Point, error) {
+	sp := c.spec
+	if !o.shardOwns(sp) {
 		return Point{}, errShardSkipped
 	}
-	body := func(co Options) Point {
-		return co.cachedPoint(exp, variant, cores, func() Point { return f(co) })
+	if o.Cache != nil {
+		if p, ok := o.Cache.lookup(exp, sp.section, fp, sp.key); ok {
+			return p, nil
+		}
 	}
-	p, err := o.runGuarded(exp, variant, cores, 0, body)
+	body := func(co Options) Point {
+		p := c.run(co)
+		if o.Cache != nil && !co.abandoned.Load() {
+			o.Cache.store(sp.section, fp, sp.key, p)
+		}
+		return p
+	}
+	p, err := o.runGuarded(exp, c.variant, c.cores, 0, body)
 	if err == nil {
 		return p, nil
 	}
@@ -121,7 +135,7 @@ func (o Options) safeCachedPoint(exp, variant string, cores int, f func(o Option
 	ro := o
 	ro.freshEngines = true
 	ro.slot = nil
-	p, err2 := ro.runGuarded(exp, variant, cores, 1, body)
+	p, err2 := ro.runGuarded(exp, c.variant, c.cores, 1, body)
 	if err2 == nil {
 		return p, nil
 	}

@@ -9,38 +9,45 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
+
+// testCell is an ad hoc cell for harness tests: a "test" workload whose
+// spec is unique per (name, cores), measured by run.
+func testCell(o Options, name string, cores int, run func(co Options, sp *spec) Point) cell {
+	return o.newCell(spec{workload: "test", opts: name, cores: cores, domains: kernelDomains}, run)
+}
 
 // isoRuns is a trivial one-variant grid whose points are pure functions of
 // the core count, so surviving points are easy to check.
-func isoRuns() []variantRun {
-	return []variantRun{{"V", func(c int, o Options) Point {
-		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
+func isoRuns(o Options) []variantRun {
+	return []variantRun{{"V", func(c int) cell {
+		return testCell(o, "iso", c, func(Options, *spec) Point { return Point{Cores: c, PerCore: float64(c)} })
 	}}}
 }
 
 // procPanicRuns is a one-variant grid whose points simulate on the
 // worker's arena engine: one proc per core, each advancing by a
-// PRNG-drawn amount. When panics(cores, o) holds, the core-0 proc's body
+// PRNG-drawn amount. When panics(cores, co) holds, the core-0 proc's body
 // panics mid-run while the other procs are parked in the engine
-// (o.freshEngines marks the retry attempt).
-func procPanicRuns(panics func(cores int, o Options) bool) []variantRun {
-	return []variantRun{{"V", func(c int, o Options) Point {
-		e := o.newEngine(topo.New(c))
-		var end int64
-		for i := 0; i < c; i++ {
-			e.Spawn(i, "worker", int64(i), func(p *sim.Proc) {
-				p.Advance(100)
-				if i == 0 && panics(c, o) {
-					panic("injected proc-body panic")
-				}
-				p.Advance(int64(10 + e.Rand.Intn(50)))
-				end = max(end, p.Now())
-			})
-		}
-		e.Run()
-		return Point{Cores: c, Variant: "V", PerCore: float64(end)}
+// (co.freshEngines marks the retry attempt).
+func procPanicRuns(o Options, panics func(cores int, co Options) bool) []variantRun {
+	return []variantRun{{"V", func(c int) cell {
+		return testCell(o, "proc-panic", c, func(co Options, sp *spec) Point {
+			e, _ := co.engine(sp)
+			var end int64
+			for i := 0; i < c; i++ {
+				e.Spawn(i, "worker", int64(i), func(p *sim.Proc) {
+					p.Advance(100)
+					if i == 0 && panics(c, co) {
+						panic("injected proc-body panic")
+					}
+					p.Advance(int64(10 + e.Rand.Intn(50)))
+					end = max(end, p.Now())
+				})
+			}
+			e.Run()
+			return Point{Cores: c, PerCore: float64(end)}
+		})
 	}}}
 }
 
@@ -53,14 +60,14 @@ func procPanicRuns(panics func(cores int, o Options) bool) []variantRun {
 func TestProcBodyPanicBecomesFailedPoint(t *testing.T) {
 	o := Options{Cores: []int{1, 8, 16, 48}, Seed: 1, Serial: true}
 	clean := &Series{ID: "iso-test"}
-	o.sweepPoints(clean, grid(o.cores(), procPanicRuns(func(int, Options) bool { return false })))
+	o.sweepPoints(clean, grid(o.cores(), procPanicRuns(o, func(int, Options) bool { return false })))
 	if len(clean.Points) != 4 || len(clean.Failed) != 0 {
 		t.Fatalf("clean sweep: %d points, %d failures; want 4 and 0", len(clean.Points), len(clean.Failed))
 	}
 
 	s := &Series{ID: "iso-test"}
-	o.sweepPoints(s, grid(o.cores(), procPanicRuns(func(c int, o Options) bool {
-		return c == 16 || (c == 8 && !o.freshEngines)
+	o.sweepPoints(s, grid(o.cores(), procPanicRuns(o, func(c int, co Options) bool {
+		return c == 16 || (c == 8 && !co.freshEngines)
 	})))
 	if len(s.Failed) != 1 {
 		t.Fatalf("failed points = %+v, want exactly one", s.Failed)
@@ -93,7 +100,7 @@ func TestPointPanicIsRetriedOnFreshEngine(t *testing.T) {
 	}
 	o := Options{Cores: []int{1, 8}, Seed: 1}
 	s := &Series{ID: "iso-test"}
-	o.sweepPoints(s, grid(o.cores(), isoRuns()))
+	o.sweepPoints(s, grid(o.cores(), isoRuns(o)))
 	if len(s.Failed) != 0 {
 		t.Fatalf("transient panic left failed points: %+v", s.Failed)
 	}
@@ -116,7 +123,7 @@ func TestPersistentPanicFailsExactlyOnePoint(t *testing.T) {
 	}
 	o := Options{Cores: []int{1, 8, 48}, Seed: 1}
 	s := &Series{ID: "iso-test"}
-	o.sweepPoints(s, grid(o.cores(), isoRuns()))
+	o.sweepPoints(s, grid(o.cores(), isoRuns(o)))
 	if len(s.Failed) != 1 {
 		t.Fatalf("failed points = %+v, want exactly one", s.Failed)
 	}
@@ -149,14 +156,16 @@ func TestAbandonedPointStaysOutOfCache(t *testing.T) {
 	}
 	var simsAt8 atomic.Int64
 	release := make(chan struct{})
-	runs := []variantRun{{"V", func(cores int, o Options) Point {
-		if cores == 8 {
-			simsAt8.Add(1)
-			<-release // wedge until the test unblocks us (closed after run 1)
-		}
-		return Point{Cores: cores, Variant: "V", PerCore: float64(cores)}
-	}}}
 	o := Options{Cores: []int{1, 8}, Seed: 1, PointTimeout: 100 * time.Millisecond, Cache: c}
+	runs := []variantRun{{"V", func(cores int) cell {
+		return testCell(o, "wedge", cores, func(Options, *spec) Point {
+			if cores == 8 {
+				simsAt8.Add(1)
+				<-release // wedge until the test unblocks us (closed after run 1)
+			}
+			return Point{Cores: cores, PerCore: float64(cores)}
+		})
+	}}}
 	s := &Series{ID: "iso-test"}
 	o.sweepPoints(s, grid(o.cores(), runs))
 	if len(s.Failed) != 1 || !strings.Contains(s.Failed[0].Err, "timed out") {
@@ -192,7 +201,7 @@ func TestWedgedPointHitsWatchdogWithoutRetry(t *testing.T) {
 	o := Options{Cores: []int{1, 8}, Seed: 1, PointTimeout: 100 * time.Millisecond}
 	s := &Series{ID: "iso-test"}
 	start := time.Now()
-	o.sweepPoints(s, grid(o.cores(), isoRuns()))
+	o.sweepPoints(s, grid(o.cores(), isoRuns(o)))
 	if len(s.Failed) != 1 || !strings.Contains(s.Failed[0].Err, "timed out") {
 		t.Fatalf("failed points = %+v, want one timeout", s.Failed)
 	}

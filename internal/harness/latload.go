@@ -36,20 +36,34 @@ func init() {
 		ID:    "latload",
 		Title: "Latency and goodput vs offered load (memcached open-loop)",
 		Paper: "Robustness extension (not a paper figure): open-loop tail latency and the overload region the closed-loop figures cannot show",
-		// Depends on the client retry policy and the open-loop load
-		// model in addition to the usual memcached stack.
-		Domains: append(withApps("memcached"), "fault", "load"),
-		Run:     runLatload,
+		Run:   runLatload,
 	})
 }
 
-// runMemcachedOpenLoop boots a kernel and runs the open-loop memcached
-// workload on it, in the style of the closed-loop runners above.
-func runMemcachedOpenLoop(cfg kernel.Config, cores int, o Options, ol apps.OpenLoopOpts) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
-	ol.RequestsPerCore = scale(load.DefaultRequestsPerCore, o.Quick)
-	ol.CalibRequestsPerCore = scale(load.DefaultCalibRequestsPerCore, o.Quick)
-	return apps.RunMemcachedOpenLoop(k, apps.DefaultMemcachedOpts(), ol)
+// openLoop is the options of one open-loop memcached run.
+type openLoop struct {
+	Memcached apps.MemcachedOpts
+	OpenLoop  apps.OpenLoopOpts
+}
+
+// memcachedOpenLoop is the cell for one open-loop memcached run on cfg at
+// loadPercent of the calibrated saturation rate, under o's arrival and
+// link specs and its shed policy. Its results depend on the client retry
+// policy and the open-loop load model in addition to the usual memcached
+// stack.
+func (o Options) memcachedOpenLoop(cfg kernel.Config, cores, loadPercent int) cell {
+	opts := openLoop{apps.DefaultMemcachedOpts(), apps.OpenLoopOpts{
+		Arrival:              o.Arrival,
+		Link:                 o.Link,
+		Shed:                 o.Shed,
+		LoadPercent:          loadPercent,
+		RequestsPerCore:      scale(load.DefaultRequestsPerCore, o.Quick),
+		CalibRequestsPerCore: scale(load.DefaultCalibRequestsPerCore, o.Quick),
+	}}
+	return o.newCell(spec{workload: "memcached-openloop", opts: fmt.Sprintf("%+v", opts), cfg: &cfg, cores: cores,
+		domains: append(domainsFor("memcached"), "fault", "load")}, func(co Options, sp *spec) Point {
+		return point(apps.RunMemcachedOpenLoop(co.boot(sp), opts.Memcached, opts.OpenLoop))
+	})
 }
 
 // runLatload sweeps offered load at a fixed core count on the PK kernel:
@@ -89,17 +103,13 @@ func runLatload(o Options) *Series {
 	}{{"PK shed", shed}, {"PK fifo", nil}}
 	var runs []variantRun
 	for _, v := range variants {
-		v := v
-		runs = append(runs, variantRun{v.name, func(mult int, co Options) Point {
-			ol := apps.OpenLoopOpts{
-				Arrival:     co.Arrival,
-				Link:        co.Link,
-				Shed:        v.shed,
-				LoadPercent: mult,
-			}
-			p := point(runMemcachedOpenLoop(kernel.PK(), cores, co, ol), v.name, 1)
-			p.Cores = mult // offered-load percent, the series' x-axis
-			return p
+		so := o
+		so.Shed = v.shed
+		runs = append(runs, variantRun{v.name, func(mult int) cell {
+			return so.memcachedOpenLoop(kernel.PK(), cores, mult).then(func(p Point) Point {
+				p.Cores = mult // offered-load percent, the series' x-axis
+				return p
+			})
 		}})
 	}
 	o.sweepPoints(s, grid(mults, runs))

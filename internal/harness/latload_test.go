@@ -153,14 +153,14 @@ func TestCacheKeyIncludesLoadSpecs(t *testing.T) {
 		"link":    {Link: link},
 		"shed":    {Shed: shed},
 	} {
-		if o.cacheKey("V", 8) == base.cacheKey("V", 8) {
+		if specKey(o) == specKey(base) {
 			t.Errorf("%s spec does not affect the cache key", name)
 		}
 	}
 	// Spelling variants of the same spec share a key.
 	l1, _ := load.ParseLink("rtt=20ms±5")
 	l2, _ := load.ParseLink("rtt=20ms+-5ms")
-	if (Options{Link: l1}).cacheKey("V", 8) != (Options{Link: l2}).cacheKey("V", 8) {
+	if specKey(Options{Link: l1}) != specKey(Options{Link: l2}) {
 		t.Error("equivalent link specs produce different cache keys")
 	}
 }

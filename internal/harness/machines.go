@@ -5,18 +5,16 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/apps"
 	"repro/internal/kernel"
 	"repro/internal/topo"
 )
 
 func init() {
 	register(Experiment{
-		ID:      "machines",
-		Title:   "Stock vs PK scaling across machine profiles",
-		Paper:   "Figures 4/5 re-run per registered host profile: where collapse onset moves with machine shape",
-		Domains: withApps("exim", "memcached"),
-		Run:     runMachines,
+		ID:    "machines",
+		Title: "Stock vs PK scaling across machine profiles",
+		Paper: "Figures 4/5 re-run per registered host profile: where collapse onset moves with machine shape",
+		Run:   runMachines,
 	})
 }
 
@@ -42,19 +40,19 @@ func machineOrder() []string {
 
 // runMachines sweeps the fig4 (Exim) and fig5 (memcached) stock-vs-PK
 // grids on every registered machine profile. Each profile runs its own
-// machine-sized core grid and caches under its own section, so the
-// default machine's points are shared with fig4/fig5 reruns in spirit but
-// never alias them (the variant labels differ). The Notes report each
-// curve's collapse onset and how the stock onsets move relative to the
-// default host.
+// machine-sized core grid, and each non-default profile caches under its
+// own sections. The default machine's cells are fig4's and fig5's own
+// specs, so a cache those figures filled serves them. The Notes report
+// each curve's collapse onset and how the stock onsets move relative to
+// the default host.
 func runMachines(o Options) *Series {
 	s := &Series{ID: "machines", Title: "Stock vs PK across machine profiles", Unit: "ops/s/core"}
 	workloads := []struct {
 		app string
-		run func(cfg kernel.Config, cores int, o Options) apps.Result
+		run func(o Options, cfg kernel.Config, cores int) cell
 	}{
-		{"Exim", runExim},
-		{"memcached", runMemcached},
+		{"Exim", Options.exim},
+		{"memcached", Options.memcached},
 	}
 	variants := []struct {
 		label string
@@ -73,13 +71,9 @@ func runMachines(o Options) *Series {
 		so.Machine = m
 		var runs []variantRun
 		for _, w := range workloads {
-			w := w
 			for _, v := range variants {
-				v := v
 				label := fmt.Sprintf("%s %s %s", name, w.app, v.label)
-				runs = append(runs, variantRun{label, func(c int, o Options) Point {
-					return point(w.run(v.cfg, c, o), label, 1)
-				}})
+				runs = append(runs, variantRun{label, func(c int) cell { return w.run(so, v.cfg, c) }})
 			}
 		}
 		// Each profile sweeps its own machine-sized grid, whatever o.Cores.

@@ -12,51 +12,45 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:      "tbl-hw",
-		Title:   "Machine memory-latency parameters",
-		Paper:   "§5.1: L1 3cy, L2 14cy, L3 28cy, DRAM 122..503cy",
-		Domains: []string{"topo", "mem"},
-		Run:     runHWLatencies,
+		ID:    "tbl-hw",
+		Title: "Machine memory-latency parameters",
+		Paper: "§5.1: L1 3cy, L2 14cy, L3 28cy, DRAM 122..503cy",
+		Run:   runHWLatencies,
 	})
 
 	register(Experiment{
-		ID:      "fig2",
-		Title:   "Sloppy counter operation trace",
-		Paper:   "Figure 2: acquire/release against central vs per-core counts",
-		Domains: []string{"topo", "mem", "kernel"},
-		Run:     runSloppyTrace,
+		ID:    "fig2",
+		Title: "Sloppy counter operation trace",
+		Paper: "Figure 2: acquire/release against central vs per-core counts",
+		Run:   runSloppyTrace,
 	})
 
 	register(Experiment{
-		ID:      "dma",
-		Title:   "DMA buffer allocation ablation",
-		Paper:   "§5.3: local-node allocation improved throughput ~30% at 48 cores",
-		Domains: withApps("memcached"),
-		Run:     runDMAAblation,
+		ID:    "dma",
+		Title: "DMA buffer allocation ablation",
+		Paper: "§5.3: local-node allocation improved throughput ~30% at 48 cores",
+		Run:   runDMAAblation,
 	})
 
 	register(Experiment{
-		ID:      "nic-env",
-		Title:   "UDP microbenchmark: NIC packet envelope",
-		Paper:   "§5.4: the card delivers a capped packet rate at high core counts",
-		Domains: withApps("memcached"),
-		Run:     runNICEnvelope,
+		ID:    "nic-env",
+		Title: "UDP microbenchmark: NIC packet envelope",
+		Paper: "§5.4: the card delivers a capped packet rate at high core counts",
+		Run:   runNICEnvelope,
 	})
 
 	register(Experiment{
-		ID:      "ablate",
-		Title:   "Per-fix ablations",
-		Paper:   "Figure 1: each fix applied alone to the most affected app at 48 cores",
-		Domains: withApps("exim", "memcached", "apache", "postgres", "metis"),
-		Run:     runAblations,
+		ID:    "ablate",
+		Title: "Per-fix ablations",
+		Paper: "Figure 1: each fix applied alone to the most affected app at 48 cores",
+		Run:   runAblations,
 	})
 
 	register(Experiment{
-		ID:      "scount",
-		Title:   "Sloppy vs shared counter scalability (simulated)",
-		Paper:   "§4.3: a shared atomic serializes on one line; sloppy counters stay core-local",
-		Domains: []string{"topo", "mem", "kernel"},
-		Run:     runScountSweep,
+		ID:    "scount",
+		Title: "Sloppy vs shared counter scalability (simulated)",
+		Paper: "§4.3: a shared atomic serializes on one line; sloppy counters stay core-local",
+		Run:   runScountSweep,
 	})
 }
 
@@ -65,10 +59,9 @@ func init() {
 func runHWLatencies(o Options) *Series {
 	s := &Series{ID: "tbl-hw", Title: "Memory latencies (§5.1)", Unit: "cycles"}
 	max := o.maxCores()
-	pts, errs := o.sweep(s, []cell{{"latencies", max, func(o Options) Point {
-		m := o.topo(max)
+	pts, errs := o.sweep(s, []cell{o.newCell(spec{workload: "latencies", cores: max, domains: memDomains}, func(co Options, sp *spec) Point {
+		e, m := co.engine(sp)
 		md := mem.NewModel(m)
-		e := o.newEngine(m)
 
 		// The far probe reads from the chip at the machine's diameter
 		// (chip 4 on the default ring); the sharer sits on the prober's
@@ -106,8 +99,8 @@ func runHWLatencies(o Options) *Series {
 			}
 		})
 		e.Run()
-		return Point{Cores: max, Variant: "latencies", Metrics: ms}
-	}}})
+		return Point{Cores: max, Metrics: ms}
+	}).as("latencies", max)})
 	if why := rowSkipReason(errs); why != "" {
 		s.Notes = append(s.Notes, "memory latencies: skipped: "+why)
 		return s
@@ -133,10 +126,9 @@ func runHWLatencies(o Options) *Series {
 // trace fails instead of printing.
 func runSloppyTrace(o Options) *Series {
 	s := &Series{ID: "fig2", Title: "Sloppy counter trace (Figure 2)"}
-	pts, errs := o.sweep(s, []cell{{"trace", 2, func(o Options) Point {
-		m := o.topo(2)
+	pts, errs := o.sweep(s, []cell{o.newCell(spec{workload: "sloppy-trace", cores: 2, domains: kernelDomains}, func(co Options, sp *spec) Point {
+		e, m := co.engine(sp)
 		md := mem.NewModel(m)
-		e := o.newEngine(m)
 		ctr := scount.NewSloppy(md, 0)
 		var ms []Metric
 		record := func(step string) {
@@ -157,8 +149,8 @@ func runSloppyTrace(o Options) *Series {
 		if err := ctr.Check(); err != nil {
 			panic("fig2: sloppy counter invariant violated: " + err.Error())
 		}
-		return Point{Cores: 2, Variant: "trace", Metrics: ms}
-	}}})
+		return Point{Cores: 2, Metrics: ms}
+	}).as("trace", 2)})
 	if why := rowSkipReason(errs); why != "" {
 		s.Notes = append(s.Notes, "sloppy counter trace: skipped: "+why)
 		return s
@@ -180,21 +172,14 @@ func runSloppyTrace(o Options) *Series {
 func runDMAAblation(o Options) *Series {
 	s := &Series{ID: "dma", Title: "DMA buffer allocation (§5.3)", Unit: "req/s/core"}
 	max := o.maxCores()
-	run := func(local bool, o Options) apps.Result {
-		cfg := kernel.PK()
-		cfg.LocalDMABuf = local
-		k := o.newKernel(o.topo(max), cfg)
-		opts := apps.DefaultMemcachedOpts()
-		opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
-		// Keep the card in the loop, as the paper's measurement did; the
-		// NIC envelope caps the achievable gain.
-		return apps.RunMemcached(k, opts)
-	}
+	// Keep the card in the loop, as the paper's measurement did; the NIC
+	// envelope caps the achievable gain. The local-pools cell is PK itself,
+	// so it is fig5's PK cell at the full machine.
 	var cells []cell
 	for i, label := range []string{"node-0 pool", "local pools"} {
-		cells = append(cells, cell{label, max, func(co Options) Point {
-			return point(run(i == 1, co), label, 1)
-		}})
+		cfg := kernel.PK()
+		cfg.LocalDMABuf = i == 1
+		cells = append(cells, o.memcached(cfg, max).as(label, max))
 	}
 	pts, errs := o.sweepPoints(s, cells)
 	if why := rowSkipReason(errs); why != "" {
@@ -212,10 +197,16 @@ func runDMAAblation(o Options) *Series {
 // showing the device, not the kernel, caps delivery.
 func runNICEnvelope(o Options) *Series {
 	s := &Series{ID: "nic-env", Title: "NIC packet envelope (§5.4)", Unit: "Mpkt/s total"}
-	o.sweepPoints(s, grid(o.cores(), []variantRun{{"UDP echo", func(c int, o Options) Point {
-		r := runMemcached(kernel.PK(), c, o)
-		pps := r.Throughput() * 2 / 1e6 // one rx + one tx per request
-		return Point{Cores: c, Variant: "UDP echo", PerCore: pps}
+	// The aggregate rate is not recoverable bit for bit from fig5's per-core
+	// column, so these cells measure it themselves under their own spec.
+	o.sweepPoints(s, grid(o.cores(), []variantRun{{"UDP echo", func(c int) cell {
+		pk, opts := kernel.PK(), o.memcachedOpts()
+		return o.newCell(spec{workload: "memcached", measure: "pps", opts: fmt.Sprintf("%+v", opts),
+			cfg: &pk, cores: c, domains: domainsFor("memcached")}, func(co Options, sp *spec) Point {
+			r := apps.RunMemcached(co.boot(sp), opts)
+			pps := r.Throughput() * 2 / 1e6 // one rx + one tx per request
+			return Point{Cores: c, PerCore: pps}
+		})
 	}}}))
 	s.Notes = append(s.Notes,
 		"PerCore column holds aggregate Mpkt/s; the plateau past 16 cores is the card envelope")
@@ -229,37 +220,35 @@ func runNICEnvelope(o Options) *Series {
 func runScountSweep(o Options) *Series {
 	s := &Series{ID: "scount", Title: "Reference counter scalability (§4.3)", Unit: "pairs/ms/core"}
 	pairs := scale(400, o.Quick)
-	runPoint := func(variant string, cores int, o Options, mk func(md *mem.Model) scount.Counter) Point {
-		m := o.topo(cores)
-		md := mem.NewModel(m)
-		e := o.newEngine(m)
-		ctr := mk(md)
-		for c := 0; c < cores; c++ {
-			e.Spawn(c, "churner", 0, func(p *sim.Proc) {
-				for i := 0; i < pairs; i++ {
-					ctr.Acquire(p, 1)
-					p.AdvanceUser(150) // hold the reference briefly
-					ctr.Release(p, 1)
+	churn := func(counter string, mk func(md *mem.Model) scount.Counter) variantRun {
+		return variantRun{counter, func(cores int) cell {
+			return o.newCell(spec{workload: "counter-churn", opts: fmt.Sprintf("counter=%s,pairs=%d", counter, pairs),
+				cores: cores, domains: kernelDomains}, func(co Options, sp *spec) Point {
+				e, m := co.engine(sp)
+				ctr := mk(mem.NewModel(m))
+				for c := 0; c < cores; c++ {
+					e.Spawn(c, "churner", 0, func(p *sim.Proc) {
+						for i := 0; i < pairs; i++ {
+							ctr.Acquire(p, 1)
+							p.AdvanceUser(150) // hold the reference briefly
+							ctr.Release(p, 1)
+						}
+					})
+				}
+				e.Run()
+				ms := microsFor(m, e.Now()) / 1e3
+				return Point{
+					Cores:      cores,
+					PerCore:    float64(pairs) / ms,
+					UserMicros: microsFor(m, e.TotalUserCycles()) / float64(pairs*cores),
+					SysMicros:  microsFor(m, e.TotalSysCycles()) / float64(pairs*cores),
 				}
 			})
-		}
-		e.Run()
-		ms := microsFor(m, e.Now()) / 1e3
-		return Point{
-			Cores:      cores,
-			Variant:    variant,
-			PerCore:    float64(pairs) / ms,
-			UserMicros: microsFor(m, e.TotalUserCycles()) / float64(pairs*cores),
-			SysMicros:  microsFor(m, e.TotalSysCycles()) / float64(pairs*cores),
-		}
+		}}
 	}
 	o.sweepPoints(s, grid(o.cores(), []variantRun{
-		{"Shared atomic", func(c int, o Options) Point {
-			return runPoint("Shared atomic", c, o, func(md *mem.Model) scount.Counter { return scount.NewShared(md, 0) })
-		}},
-		{"Sloppy", func(c int, o Options) Point {
-			return runPoint("Sloppy", c, o, func(md *mem.Model) scount.Counter { return scount.NewSloppy(md, 0) })
-		}},
+		churn("Shared atomic", func(md *mem.Model) scount.Counter { return scount.NewShared(md, 0) }),
+		churn("Sloppy", func(md *mem.Model) scount.Counter { return scount.NewSloppy(md, 0) }),
 	}))
 	s.Notes = append(s.Notes,
 		"Shared collapses as every pair serializes on one line; Sloppy stays flat (core-local spares)")
@@ -273,32 +262,24 @@ func runAblations(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "ablate", Title: fmt.Sprintf("Per-fix ablations at %d cores (Figure 1)", max)}
 
-	// runFor picks the app used to measure a fix.
-	runFor := func(name string, cfg kernel.Config, o Options) float64 {
+	// cellFor is the run that measures a fix: its most affected
+	// application on cfg at the full machine, the same run the figures
+	// make, so the stock baselines are fig4–fig8's stock cells and the
+	// baselines several fixes share are one cell. Only the per-core
+	// throughput enters the note.
+	cellFor := func(name string, cfg kernel.Config) cell {
 		switch name {
 		case "parallel-accept":
-			return runApache(cfg, max, cfg.ParallelAccept, o).PerCore()
+			return o.apache(cfg, max, cfg.ParallelAccept)
 		case "dst-ref", "proto-mem", "dma-buffers", "netdev-false-sharing",
 			"inode-lists", "dcache-lists":
-			return runMemcached(cfg, max, o).PerCore()
+			return o.memcached(cfg, max)
 		case "lseek-mutex":
-			k := o.newKernel(o.topo(max), cfg)
-			opts := apps.DefaultPostgresOpts()
-			opts.QueriesPerCore = scale(opts.QueriesPerCore, o.Quick)
-			opts.ModPG = true
-			return apps.RunPostgres(k, opts).PerCore()
+			return o.postgres(cfg, max, 0, true)
 		case "superpage-locking", "superpage-zeroing":
-			k := o.newKernel(o.topoRR(max), cfg)
-			opts := apps.DefaultMetisOpts()
-			if o.Quick {
-				opts.InputBytes /= 4
-			}
-			opts.SuperPages = true
-			return apps.RunMetis(k, opts).PerCore() * 3600
-		case "page-false-sharing":
-			return runExim(cfg, max, o).PerCore()
-		default: // VFS fixes: Exim is the heaviest path-walk user
-			return runExim(cfg, max, o).PerCore()
+			return o.metis(cfg, true, max).scaled(3600)
+		default: // page-false-sharing and the VFS fixes: Exim is the heaviest path-walk user
+			return o.exim(cfg, max)
 		}
 	}
 
@@ -311,9 +292,9 @@ func runAblations(o Options) *Series {
 			label string
 			cfg   kernel.Config
 		}{{f.Name + "/stock", kernel.Stock()}, {f.Name + "/fix", fixed}} {
-			cells = append(cells, cell{v.label, max, func(co Options) Point {
-				return Point{Cores: max, Variant: v.label, PerCore: runFor(f.Name, v.cfg, co)}
-			}})
+			cells = append(cells, cellFor(f.Name, v.cfg).then(func(p Point) Point {
+				return Point{Cores: max, PerCore: p.PerCore}
+			}).as(v.label, max))
 		}
 	}
 	pts, errs := o.sweep(s, cells)

@@ -15,14 +15,16 @@ import (
 // cache hit, and any point a crashed shard failed to deliver is simply
 // computed by the merge pass itself.
 //
-// Ownership is a pure function of the point's identity (experiment ID plus
-// full cache key), not of enumeration order, so any process — or CI shard
-// on a different machine — partitions the grid identically without
-// coordination. Every simulation an experiment runs is a sweep cell, so
-// every experiment that simulates splits; the probes (tbl-hw, fig2,
-// profile) carry their measurements in Point.Metrics and render their
-// notes from the merged cells. Only fig1, which prints the fix table and
-// simulates nothing, runs whole in whichever process prints it.
+// Ownership is a pure function of what a cell simulates (its spec's
+// section and key), not of enumeration order or of which experiment asks,
+// so any process — or CI shard on a different machine — partitions the
+// grid identically without coordination, and a spec that several
+// experiments share is computed by exactly one shard. Every simulation an
+// experiment runs is a sweep cell, so every experiment that simulates
+// splits; the probes (tbl-hw, fig2, profile) carry their measurements in
+// Point.Metrics and render their notes from the merged cells. Only fig1,
+// which prints the fix table and simulates nothing, runs whole in
+// whichever process prints it.
 
 // errShardSkipped marks a sweep point owned by another shard: the point is
 // omitted from both Series.Points and Series.Failed.
@@ -62,16 +64,15 @@ func rowSkipReason(errs []error) string {
 	return why
 }
 
-// shardOwns reports whether this Options' shard owns the sweep point
-// addressed by (exp, cacheKey). With Shards unset (or 1) every point is
-// owned.
-func (o Options) shardOwns(exp, key string) bool {
+// shardOwns reports whether this Options' shard owns the spec sp. With
+// Shards unset (or 1) every spec is owned.
+func (o Options) shardOwns(sp *spec) bool {
 	if o.Shards <= 1 {
 		return true
 	}
 	h := fnv.New64a()
-	h.Write([]byte(exp))
+	h.Write([]byte(sp.section))
 	h.Write([]byte{'|'})
-	h.Write([]byte(key))
+	h.Write([]byte(sp.key))
 	return h.Sum64()%uint64(o.Shards) == uint64(o.ShardIndex)
 }

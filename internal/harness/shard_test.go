@@ -10,26 +10,26 @@ import (
 // itself: for any shard count, every point identity is owned by exactly
 // one shard index, with no coordination between the owners.
 func TestShardPartitionCoversGridExactlyOnce(t *testing.T) {
-	var keys []string
+	var specs []spec
 	base := Options{Quick: true, Seed: 7}
-	for _, variant := range []string{"Stock", "PK", "PK + striped"} {
+	for _, app := range []string{"exim", "memcached", "gmake"} {
 		for cores := 1; cores <= 48; cores++ {
-			keys = append(keys, base.cacheKey(variant, cores))
+			specs = append(specs, base.newSpec(spec{workload: app, cores: cores, domains: domainsFor(app)}))
 		}
 	}
 	for _, shards := range []int{1, 2, 3, 5, 16} {
 		perShard := make([]int, shards)
-		for _, key := range keys {
+		for i := range specs {
 			owners := 0
 			for idx := 0; idx < shards; idx++ {
 				o := Options{Shards: shards, ShardIndex: idx}
-				if o.shardOwns("fig4", key) {
+				if o.shardOwns(&specs[i]) {
 					owners++
 					perShard[idx]++
 				}
 			}
 			if owners != 1 {
-				t.Fatalf("shards=%d: key %q owned by %d shards, want exactly 1", shards, key, owners)
+				t.Fatalf("shards=%d: spec %q owned by %d shards, want exactly 1", shards, specs[i].key, owners)
 			}
 		}
 		// Not a correctness requirement, but a wildly lopsided hash would
@@ -37,7 +37,7 @@ func TestShardPartitionCoversGridExactlyOnce(t *testing.T) {
 		// a 144-point grid.
 		for idx, n := range perShard {
 			if n == 0 {
-				t.Errorf("shards=%d: shard %d owns no points of %d", shards, idx, len(keys))
+				t.Errorf("shards=%d: shard %d owns no points of %d", shards, idx, len(specs))
 			}
 		}
 	}
@@ -109,6 +109,89 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardsSplitSpecsAcrossExperiments: ablate, fig3 and fig4 share many
+// specs (fig3's Exim cells are fig4's, ablate's baselines are the
+// figures' stock cells). Run as two shards sharing one directory, each
+// distinct spec's body runs in exactly one shard and at most once there,
+// the shards together compute exactly the single process's specs, and a
+// merge pass replays every experiment bit for bit without simulating.
+func TestShardsSplitSpecsAcrossExperiments(t *testing.T) {
+	exps := []string{"ablate", "fig3", "fig4"}
+	sc, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := map[string]*Series{}
+	for _, id := range exps {
+		single[id] = ByID(id).Run(Options{Quick: true, Seed: 7, Cache: sc})
+	}
+	want := storedKeys(sc)
+	if int64(len(want)) != sc.Misses() {
+		t.Fatalf("single process simulated %d specs but stored %d", sc.Misses(), len(want))
+	}
+
+	dir := t.TempDir()
+	caches := make([]*Cache, 2)
+	for idx := range caches {
+		if caches[idx], err = OpenCache(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owner := map[string]int{}
+	for idx, c := range caches {
+		for _, id := range exps {
+			ByID(id).Run(Options{Quick: true, Seed: 7, Cache: c, Shards: 2, ShardIndex: idx})
+		}
+		got := storedKeys(c)
+		if int64(len(got)) != c.Misses() {
+			t.Errorf("shard %d ran %d bodies for %d distinct specs; each must run once", idx, c.Misses(), len(got))
+		}
+		for key := range got {
+			if prev, dup := owner[key]; dup {
+				t.Errorf("spec %q computed by shards %d and %d", key, prev, idx)
+			}
+			owner[key] = idx
+		}
+		if err := c.Save(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(owner) != len(want) {
+		t.Errorf("shards computed %d distinct specs, single process %d", len(owner), len(want))
+	}
+	for key := range want {
+		if _, ok := owner[key]; !ok {
+			t.Errorf("no shard computed spec %q", key)
+		}
+	}
+
+	mc, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range exps {
+		if merged := ByID(id).Run(Options{Quick: true, Seed: 7, Cache: mc}); !reflect.DeepEqual(merged, single[id]) {
+			t.Errorf("%s: merged sweep differs from the single-process sweep", id)
+		}
+	}
+	if mc.Misses() != 0 {
+		t.Errorf("merge pass missed %d lookups, want 0", mc.Misses())
+	}
+}
+
+// storedKeys returns the section-qualified keys of every point c holds.
+func storedKeys(c *Cache) map[string]bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := map[string]bool{}
+	for id, sec := range c.sections {
+		for key := range sec.Points {
+			out[id+"|"+key] = true
+		}
+	}
+	return out
 }
 
 // TestShardWorkerOmitsForeignPoints: a worker's own Series contains only

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/fault"
+	"repro/internal/kernel"
 	"repro/internal/topo"
 )
 
@@ -13,14 +14,19 @@ import (
 // its input through every chip's memory controller — under the given
 // fault spec, booting its kernel on o's engine: the slot's pooled engine,
 // or a fresh one under o.freshEngines.
-func timedFaultResult(t *testing.T, o Options, cores int, spec string) apps.Result {
+func timedFaultResult(t *testing.T, o Options, cores int, faults string) apps.Result {
 	t.Helper()
-	f, err := fault.Parse(spec)
+	f, err := fault.Parse(faults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Quick, o.Seed, o.Fault = true, 1, f
-	return runMetis(true, cores, o)
+	pk := kernel.PK()
+	sp := o.newSpec(spec{workload: "metis", cfg: &pk, cores: cores, rr: true, domains: domainsFor("metis")})
+	opts := apps.DefaultMetisOpts()
+	opts.InputBytes /= 4
+	opts.SuperPages = true
+	return apps.RunMetis(o.boot(&sp), opts)
 }
 
 // TestTimedFaultStepFiresMidRun pins the kernel's timed fault injector

@@ -1,5 +1,7 @@
 package kernel
 
+import "strings"
+
 // Fix describes one row of Figure 1: a kernel scalability problem, the
 // applications that trigger it, and the PK solution.
 type Fix struct {
@@ -157,4 +159,27 @@ func FixByName(name string) *Fix {
 		}
 	}
 	return nil
+}
+
+// String renders c canonically, the form the sweep's cell specs key on:
+// "stock", "pk", or the enabled fixes' names in Fixes order joined by "+",
+// with "mcs-mount-lock" appended when ScalableMountLock is set. Equal
+// configs render identically and different configs differently.
+func (c Config) String() string {
+	var names []string
+	for _, f := range Fixes {
+		if f.Enabled(c) {
+			names = append(names, f.Name)
+		}
+	}
+	if len(names) == len(Fixes) {
+		names = []string{"pk"}
+	}
+	if c.ScalableMountLock {
+		names = append(names, "mcs-mount-lock")
+	}
+	if len(names) == 0 {
+		return "stock"
+	}
+	return strings.Join(names, "+")
 }

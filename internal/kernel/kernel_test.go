@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/topo"
@@ -96,5 +97,32 @@ func TestConfigProjections(t *testing.T) {
 	s := Stock()
 	if s.VFS().SloppyDentryRef || s.Net().ParallelAccept || s.MM().PageFalseSharingFix {
 		t.Error("stock projections enabled flags")
+	}
+}
+
+// TestConfigStringIsCanonical: the sweep cache keys cells on
+// Config.String, so every field must reach it. Turning any one field on
+// (on stock, and off on PK) yields a string no other config produces.
+func TestConfigStringIsCanonical(t *testing.T) {
+	if got := Stock().String(); got != "stock" {
+		t.Errorf("Stock().String() = %q, want stock", got)
+	}
+	if got := PK().String(); got != "pk" {
+		t.Errorf("PK().String() = %q, want pk", got)
+	}
+	seen := map[string]string{"stock": "stock", "pk": "pk"}
+	for _, base := range []Config{Stock(), PK()} {
+		n := reflect.TypeOf(base).NumField()
+		for i := 0; i < n; i++ {
+			c := base
+			f := reflect.ValueOf(&c).Elem().Field(i)
+			f.SetBool(!f.Bool())
+			name := reflect.TypeOf(c).Field(i).Name
+			s := c.String()
+			if prev, dup := seen[s]; dup {
+				t.Errorf("toggling %s renders %q, the same as %s", name, s, prev)
+			}
+			seen[s] = name
+		}
 	}
 }

@@ -1,15 +1,16 @@
 // Package cachekeylint enforces the harness's cache-key completeness
-// invariant. Every sweep point is memoized under Options.cacheKey (plus
-// the section chosen by cacheSectionID): a new Options field that changes
-// simulated behavior but is forgotten from the key makes differently-
-// configured runs alias the same cached point — the silent wrong-results
-// failure mode the fault/arrival/link/shed keys exist to prevent.
+// invariant. Every sweep cell is memoized, deduplicated and assigned to a
+// shard by its spec, which Options.newSpec completes with the run-wide
+// terms: a new Options field that changes simulated behavior but is
+// forgotten by the spec builder makes differently-configured runs alias
+// the same cached point — the silent wrong-results failure mode the
+// fault/arrival/link/shed terms exist to prevent.
 //
 // The rule is mechanical so it cannot be forgotten: every field of
 // harness.Options must either be referenced (transitively, through
-// same-package helpers like seed/faultString/machine) from the cache-key
-// builders, or carry an explicit //mosvet:allow cachekeylint <reason>
-// annotation recording why it cannot affect a point's value.
+// same-package helpers like seed/machine) from the spec builder, or carry
+// an explicit //mosvet:allow cachekeylint <reason> annotation recording
+// why it cannot affect a point's value.
 package cachekeylint
 
 import (
@@ -22,15 +23,15 @@ import (
 // Analyzer is the cachekeylint analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "cachekeylint",
-	Doc:  "flag harness.Options fields missing from the sweep cache-key builders and not annotated as key-exempt",
+	Doc:  "flag harness.Options fields missing from the sweep spec builder and not annotated as key-exempt",
 	Run:  run,
 }
 
 const harnessPath = "repro/internal/harness"
 
 // keyBuilders are the methods whose transitive field reads define the
-// cache identity of a sweep point.
-var keyBuilders = map[string]bool{"cacheKey": true, "cacheSectionID": true}
+// cache identity of a sweep cell.
+var keyBuilders = map[string]bool{"newSpec": true}
 
 func run(pass *analysis.Pass) error {
 	if pass.Pkg.Path() != harnessPath {
@@ -62,7 +63,7 @@ func run(pass *analysis.Pass) error {
 	}
 	if len(roots) == 0 {
 		pass.Reportf(obj.Pos(),
-			"Options has no cache-key builder (method named cacheKey or cacheSectionID): sweep memoization cannot be keyed — every cached point would alias")
+			"Options has no cache-key builder (method named newSpec): sweep memoization cannot be keyed — every cached point would alias")
 		return nil
 	}
 
@@ -121,7 +122,7 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		pass.Reportf(f.Pos(),
-			"Options.%s is not folded into the sweep cache key (cacheKey/cacheSectionID): if it can change a point's value, cached runs will alias; fold it in, or annotate //mosvet:allow cachekeylint <why it cannot affect results>",
+			"Options.%s is not folded into the sweep cache key (newSpec): if it can change a point's value, cached runs will alias; fold it in, or annotate //mosvet:allow cachekeylint <why it cannot affect results>",
 			f.Name())
 	}
 	return nil

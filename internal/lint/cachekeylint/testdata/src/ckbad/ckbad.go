@@ -1,5 +1,5 @@
 // Package harness (fixture) exercises cachekeylint: one field folded
-// into cacheKey directly, one through a helper, one forgotten (the
+// into newSpec directly, one through a helper, one forgotten (the
 // diagnostic), and one annotated as key-exempt.
 package harness
 
@@ -16,6 +16,9 @@ type Options struct {
 // folded in.
 func (o *Options) seed() int64 { return o.Seed }
 
-func (o *Options) cacheKey(variant string, cores int) string {
-	return fmt.Sprintf("%s|%s|%d|%d", variant, o.Machine, cores, o.seed())
+type spec struct{ key string }
+
+func (o *Options) newSpec(sp spec) spec {
+	sp.key += fmt.Sprintf("|%s|%d", o.Machine, o.seed())
+	return sp
 }

@@ -43,11 +43,13 @@ type Options struct {
 	// that stream through the memory system (Metis, pedsort, gmake,
 	// PostgreSQL): "local" (default), "striped", "remote", or "home:N".
 	Placement string
-	// Cache, when non-nil, memoizes sweep points by (experiment, variant,
-	// cores, seed, quick, placement, fault, arrival, link, shed) under
-	// per-experiment cost-model fingerprints, so a repeated grid run is
-	// served without simulating and a retune invalidates only the
-	// affected experiments. Open one with OpenCache and Save it when done.
+	// Cache, when non-nil, memoizes sweep points by what they simulate:
+	// the workload and its options, the kernel configuration, the machine
+	// and its core fill, cores, seed, quick, placement, fault, arrival,
+	// link and shed. Experiments that simulate the same thing share one
+	// stored point, a repeated grid run is served without simulating, and
+	// a retune invalidates only the cells of the retuned cost domain.
+	// Open one with OpenCache and Save it when done.
 	Cache *Cache
 	// Fault is a deterministic fault-injection spec applied to every
 	// kernel the experiment boots: comma-separated events like
@@ -173,17 +175,23 @@ func CheckShed(s string) error {
 
 type (
 	// Cache is a handle to an on-disk sweep-point cache shared across
-	// runs and machines. Points are stored in per-experiment sections
-	// keyed by (variant, cores, seed, quick, placement, fault, arrival,
-	// link, shed); each section is stamped with the cost-model fingerprint
-	// of the domains its experiment depends on, so a retune invalidates
-	// only the affected figures. A schema hash over the Point type guards
-	// against refactors.
+	// runs, experiments and machines. Each point is keyed by what its cell
+	// simulates (see Options.Cache) and filed in the section of the
+	// cost domains it depends on (an application's constants, the kernel,
+	// the memory system, the fault and load models) on its machine; each
+	// section is stamped with those domains' cost-model fingerprint, so a
+	// retune invalidates exactly the cells that depend on it, in every
+	// experiment. A schema hash over the Point type guards against
+	// refactors.
 	Cache = harness.Cache
-	// CacheStats is a snapshot of a cache's per-experiment activity.
+	// CacheStats is a snapshot of a cache's activity: totals, each
+	// experiment's lookups, and each section's lookups and contents.
 	CacheStats = harness.CacheStats
-	// ExperimentCacheStats is one experiment's cache activity.
+	// ExperimentCacheStats is one experiment's lookups.
 	ExperimentCacheStats = harness.ExperimentCacheStats
+	// SectionCacheStats is one cost-domain section's activity and
+	// contents.
+	SectionCacheStats = harness.SectionCacheStats
 	// Point is one measurement: an application variant at one core count,
 	// with any named metrics the experiment recorded in Point.Metrics.
 	Point = harness.Point

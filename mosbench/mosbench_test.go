@@ -129,8 +129,8 @@ func TestCacheStatsPerExperiment(t *testing.T) {
 	if !ok {
 		t.Fatalf("Stats() missing fig5 section: %+v", st)
 	}
-	if e.Hits == 0 || e.Misses == 0 || e.Hits != e.Misses || e.Points != int(e.Misses) {
-		t.Errorf("fig5 stats %+v: want equal nonzero hits/misses and matching point count", e)
+	if e.Hits == 0 || e.Misses == 0 || e.Hits != e.Misses || st.Points != int(e.Misses) {
+		t.Errorf("fig5 stats %+v, %d points cached: want equal nonzero hits/misses and matching point count", e, st.Points)
 	}
 	if st.Hits != e.Hits || st.Misses != e.Misses || st.Invalidated != 0 {
 		t.Errorf("totals %d/%d/%d disagree with fig5's %+v", st.Hits, st.Misses, st.Invalidated, e)
