@@ -391,7 +391,8 @@ func reportCacheStats(cs mosbench.CacheStats, points int, dir string) {
 		cs.Hits, cs.Misses, cs.Invalidated, points, dir)
 	for _, id := range slices.Sorted(maps.Keys(cs.Experiments)) {
 		e := cs.Experiments[id]
-		fmt.Fprintf(os.Stderr, "cache: %-16s %4d hits %4d misses\n", id, e.Hits, e.Misses)
+		fmt.Fprintf(os.Stderr, "cache: %-16s %4d hits %4d misses %4d invalidated %4d points\n",
+			id, e.Hits, e.Misses, e.Invalidated, e.Points)
 	}
 	for _, id := range slices.Sorted(maps.Keys(cs.Sections)) {
 		if e := cs.Sections[id]; e.Hits+e.Misses+e.Invalidated > 0 {

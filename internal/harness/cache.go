@@ -76,6 +76,13 @@ type counters struct {
 	hits, misses, invalidated int64
 }
 
+// expCounters is one experiment's lookup outcomes plus the cells it looked
+// up (key → section), from which Stats derives its Points and Invalidated.
+type expCounters struct {
+	counters
+	cells map[string]string
+}
+
 // Cache is a content-addressed store of sweep points: each point is keyed
 // by its cell's spec (see newSpec) and filed in the section of the cost
 // domains the spec declares, stamped with those domains' cost-model
@@ -93,7 +100,7 @@ type Cache struct {
 
 	mu       sync.Mutex
 	sections map[string]*cacheSection
-	expStats map[string]*counters
+	expStats map[string]*expCounters
 	secStats map[string]*counters
 	hits     int64
 	misses   int64
@@ -117,7 +124,7 @@ func OpenCacheLogged(dir string, logf func(format string, args ...any)) (*Cache,
 		path:     filepath.Join(dir, cacheFileName),
 		logf:     logf,
 		sections: map[string]*cacheSection{},
-		expStats: map[string]*counters{},
+		expStats: map[string]*expCounters{},
 		secStats: map[string]*counters{},
 	}
 	// A crash (or full disk) between Save's temp-file write and rename
@@ -297,8 +304,16 @@ func (c *Cache) len() int {
 // ExperimentCacheStats is the cache activity of one experiment's lookups.
 // Cells another experiment already stored are hits.
 type ExperimentCacheStats struct {
+	// Hits and Misses count this cache's lookups for the experiment.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
+	// Invalidated counts the stored points dropped from the sections the
+	// experiment's cells live in because their cost-model fingerprint
+	// changed since they were computed. A section shared with other
+	// experiments counts toward each of them.
+	Invalidated int64 `json:"invalidated"`
+	// Points is the number of the experiment's cells currently cached.
+	Points int `json:"points"`
 }
 
 // SectionCacheStats is one cost-domain section's activity and contents.
@@ -346,9 +361,6 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	out := CacheStats{Hits: c.hits, Misses: c.misses, Points: c.len(),
 		Experiments: map[string]ExperimentCacheStats{}, Sections: map[string]SectionCacheStats{}}
-	for exp, st := range c.expStats {
-		out.Experiments[exp] = ExperimentCacheStats{Hits: st.hits, Misses: st.misses}
-	}
 	for id, s := range c.sections {
 		out.Sections[id] = SectionCacheStats{Points: len(s.Points)}
 	}
@@ -357,6 +369,22 @@ func (c *Cache) Stats() CacheStats {
 		e.Hits, e.Misses, e.Invalidated = st.hits, st.misses, st.invalidated
 		out.Sections[id] = e
 		out.Invalidated += st.invalidated
+	}
+	for exp, st := range c.expStats {
+		e := ExperimentCacheStats{Hits: st.hits, Misses: st.misses}
+		secs := map[string]bool{}
+		for key, sec := range st.cells {
+			if s := c.sections[sec]; s != nil {
+				if _, ok := s.Points[key]; ok {
+					e.Points++
+				}
+			}
+			if !secs[sec] {
+				secs[sec] = true
+				e.Invalidated += out.Sections[sec].Invalidated
+			}
+		}
+		out.Experiments[exp] = e
 	}
 	return out
 }
@@ -368,6 +396,17 @@ func counter(m map[string]*counters, id string) *counters {
 	if st == nil {
 		st = &counters{}
 		m[id] = st
+	}
+	return st
+}
+
+// expCounter returns exp's counters, creating them on first use. Caller
+// holds c.mu.
+func (c *Cache) expCounter(exp string) *expCounters {
+	st := c.expStats[exp]
+	if st == nil {
+		st = &expCounters{cells: map[string]string{}}
+		c.expStats[exp] = st
 	}
 	return st
 }
@@ -399,7 +438,8 @@ func (c *Cache) lookup(exp, sec, fp, key string) (Point, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.section(sec, fp).Points[key]
-	es, ss := counter(c.expStats, exp), counter(c.secStats, sec)
+	es, ss := c.expCounter(exp), counter(c.secStats, sec)
+	es.cells[key] = sec
 	if ok {
 		c.hits++
 		es.hits++

@@ -150,6 +150,15 @@ func TestFingerprintInvalidationIsPerWorkload(t *testing.T) {
 		if st := c2.Stats().Sections[eximSection]; eximExps[e.ID] && (st.Hits == 0 || st.Misses != 0) {
 			t.Errorf("%s: Exim cells %d hits, %d misses; a memcached retune must leave them all hits", e.ID, st.Hits, st.Misses)
 		}
+		// The experiment's own entry reports the retune in the sections
+		// its cells live in, and every cell it looked up is cached again.
+		es := c2.Stats().Experiments[e.ID]
+		if got := es.Invalidated > 0; got != memcachedExps[e.ID] {
+			t.Errorf("%s: experiment stats report %d invalidated; want some exactly when it runs memcached", e.ID, es.Invalidated)
+		}
+		if lookups := es.Hits + es.Misses; (es.Points == 0 && lookups > 0) || int64(es.Points) > lookups {
+			t.Errorf("%s: experiment stats report %d points cached for %d lookups", e.ID, es.Points, lookups)
+		}
 	}
 }
 

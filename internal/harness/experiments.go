@@ -74,10 +74,13 @@ func (o Options) memcached(cfg kernel.Config, cores int) cell {
 	return appCell(o, "memcached", o.memcachedOpts(), cfg, cores, false, apps.RunMemcached)
 }
 
-func (o Options) apache(cfg kernel.Config, cores int, single bool) cell {
+// apache runs Apache as the paper does on cfg: without the parallel accept
+// fix, one instance per core on distinct ports (§5.4); with it, one
+// instance serving every core.
+func (o Options) apache(cfg kernel.Config, cores int) cell {
 	opts := apps.DefaultApacheOpts()
 	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
-	opts.SingleInstance = single
+	opts.SingleInstance = cfg.ParallelAccept
 	return appCell(o, "apache", opts, cfg, cores, false, apps.RunApache)
 }
 
@@ -195,10 +198,8 @@ func init() {
 		Title: "Apache throughput and runtime breakdown",
 		Paper: "Figure 6: requests/sec/core and CPU us/request vs cores",
 		Run: func(o Options) *Series {
-			// Stock: one instance per core on distinct ports (§5.4); PK: one
-			// instance serving every core.
 			return stockPK(o, "req/s/core", "fig6", "Apache (Figure 6)", func(o Options, cfg kernel.Config, c int) cell {
-				return o.apache(cfg, c, cfg.ParallelAccept)
+				return o.apache(cfg, c)
 			})
 		},
 	})
@@ -325,8 +326,8 @@ func (o Options) suite() []suiteApp {
 			func(c int) cell { return o.memcached(kernel.Stock(), c) },
 			func(c int) cell { return o.memcached(kernel.PK(), c) }},
 		{"Apache", "HW: Receive queues on NIC",
-			func(c int) cell { return o.apache(kernel.Stock(), c, false) },
-			func(c int) cell { return o.apache(kernel.PK(), c, true) }},
+			func(c int) cell { return o.apache(kernel.Stock(), c) },
+			func(c int) cell { return o.apache(kernel.PK(), c) }},
 		{"PostgreSQL", "App: Application-level spin lock",
 			func(c int) cell { return o.postgres(kernel.Stock(), c, 0, false) },
 			func(c int) cell { return o.postgres(kernel.PK(), c, 0, true) }},

@@ -270,7 +270,7 @@ func runAblations(o Options) *Series {
 	cellFor := func(name string, cfg kernel.Config) cell {
 		switch name {
 		case "parallel-accept":
-			return o.apache(cfg, max, cfg.ParallelAccept)
+			return o.apache(cfg, max)
 		case "dst-ref", "proto-mem", "dma-buffers", "netdev-false-sharing",
 			"inode-lists", "dcache-lists":
 			return o.memcached(cfg, max)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/kernel"
-	"repro/internal/load"
 	"repro/internal/mem"
 	"repro/internal/topo"
 )
@@ -55,14 +54,10 @@ type spec struct {
 	machine *topo.Machine
 	rr      bool
 	cores   int
-	quick   bool
-	// placement, fault, arrival, link and shed are the run's placement
-	// policy, fault plan (nil for a clean run) and open-loop specs.
+	// placement and fault are the run's placement policy and fault plan
+	// (nil for a clean run).
 	placement mem.Placement
 	fault     *fault.Spec
-	arrival   *load.ArrivalSpec
-	link      *load.LinkSpec
-	shed      *load.ShedSpec
 	seed      uint64
 	domains   []string
 
@@ -70,9 +65,10 @@ type spec struct {
 	key, section string
 }
 
-// newSpec completes sp with the run-wide terms o carries (machine, seed,
-// quick, placement, fault plan and open-loop specs) and renders its key
-// and section. It is where Options reach a cell's identity: cachekeylint
+// newSpec completes sp with the run-wide terms cell bodies read from it
+// (machine, seed, placement and fault plan) and renders its key and
+// section; the key also carries o's quick flag and open-loop specs, which
+// bodies read from the Options they run with. It is where Options reach a cell's identity: cachekeylint
 // checks that every Options field is read here or is annotated as unable
 // to change a point. An experiment that varies one of these terms per cell
 // (degrade's fault severity, latload's shed policy, a figure's striped
@@ -80,7 +76,6 @@ type spec struct {
 func (o Options) newSpec(sp spec) spec {
 	sp.machine = o.machine()
 	sp.seed = o.seed()
-	sp.quick = o.Quick
 	sp.placement = o.Placement
 	if !o.Fault.IsZero() {
 		sp.fault = o.Fault
@@ -88,7 +83,6 @@ func (o Options) newSpec(sp spec) spec {
 			sp.domains = append(slices.Clip(sp.domains), "fault")
 		}
 	}
-	sp.arrival, sp.link, sp.shed = o.Arrival, o.Link, o.Shed
 
 	workload, kcfg, fill := sp.workload, "none", "seq"
 	if sp.measure != "" {
@@ -101,8 +95,8 @@ func (o Options) newSpec(sp spec) spec {
 		fill = "rr"
 	}
 	sp.key = fmt.Sprintf("%s|%s|kernel=%s|machine=%s/%s|cores=%d|seed=%d|quick=%t|placement=%s|fault=%s|arrival=%s|link=%s|shed=%s",
-		workload, sp.opts, kcfg, sp.machine.Name, fill, sp.cores, sp.seed, sp.quick, sp.placement.String(),
-		sp.fault.String(), sp.arrival.String(), sp.link.String(), sp.shed.String())
+		workload, sp.opts, kcfg, sp.machine.Name, fill, sp.cores, sp.seed, o.Quick, sp.placement.String(),
+		sp.fault.String(), o.Arrival.String(), o.Link.String(), o.Shed.String())
 	sp.section = strings.Join(sp.domains, "+")
 	if !sp.machine.IsDefault() {
 		sp.section += "@" + sp.machine.Name

@@ -187,7 +187,9 @@ type (
 	// CacheStats is a snapshot of a cache's activity: totals, each
 	// experiment's lookups, and each section's lookups and contents.
 	CacheStats = harness.CacheStats
-	// ExperimentCacheStats is one experiment's lookups.
+	// ExperimentCacheStats is one experiment's lookups, the points
+	// dropped by retunes in the sections its cells live in, and how many
+	// of its cells are cached.
 	ExperimentCacheStats = harness.ExperimentCacheStats
 	// SectionCacheStats is one cost-domain section's activity and
 	// contents.

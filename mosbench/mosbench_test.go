@@ -129,7 +129,7 @@ func TestCacheStatsPerExperiment(t *testing.T) {
 	if !ok {
 		t.Fatalf("Stats() missing fig5 section: %+v", st)
 	}
-	if e.Hits == 0 || e.Misses == 0 || e.Hits != e.Misses || st.Points != int(e.Misses) {
+	if e.Hits == 0 || e.Misses == 0 || e.Hits != e.Misses || st.Points != int(e.Misses) || e.Points != st.Points {
 		t.Errorf("fig5 stats %+v, %d points cached: want equal nonzero hits/misses and matching point count", e, st.Points)
 	}
 	if st.Hits != e.Hits || st.Misses != e.Misses || st.Invalidated != 0 {
